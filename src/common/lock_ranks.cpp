@@ -13,8 +13,6 @@ const char* to_string(LockRank rank) {
     case LockRank::kService: return "service";
     case LockRank::kPool: return "pool";
     case LockRank::kExecutor: return "executor";
-    case LockRank::kBoard: return "board";
-    case LockRank::kCexBank: return "cex_bank";
     case LockRank::kCkpt: return "ckpt";
     case LockRank::kRegistry: return "registry";
     case LockRank::kFault: return "fault";
@@ -78,8 +76,8 @@ void note_acquire(LockRank rank) {
       violation(std::string("acquiring rank '") + to_string(rank) +
                     "' while holding rank '" + to_string(top) +
                     "' (nested acquisitions must strictly ascend "
-                    "service < pool < executor < board < cex_bank < ckpt "
-                    "< registry < fault < log)",
+                    "service < pool < executor < ckpt < registry < fault "
+                    "< log)",
                 mode);
   }
   if (held.depth >= kNumRanks)

@@ -84,7 +84,6 @@ void publish_sweeper_stats(obs::Registry& r, bool used,
   r.set(obs::metric::kSweeperCexShared, static_cast<double>(s.cex_shared));
   r.set(obs::metric::kSweeperPairsSimResolved,
         static_cast<double>(s.pairs_sim_resolved));
-  r.set(obs::metric::kSweeperPairsPruned, static_cast<double>(s.pairs_pruned));
   r.set(obs::metric::kSweeperParallelFallbacks,
         static_cast<double>(s.parallel_fallbacks));
   for (std::size_t i = 0; i < s.shard.size(); ++i) {

@@ -1,6 +1,9 @@
 #include "sweep/pair_solver.hpp"
 
+#include <utility>
+
 #include "fault/fault.hpp"
+#include "sweep/sat_sweeper.hpp"
 
 namespace simsweep::sweep {
 
@@ -21,7 +24,7 @@ PairSolver::Outcome PairSolver::check_pair(aig::Lit a, aig::Lit b,
   if (r == sat::Solver::Result::kSat) return Outcome::kDistinct;
   if (r == sat::Solver::Result::kUnknown) return Outcome::kUnknown;
   // Direction one proved UNSAT: charge direction two what is left of the
-  // budget (satellite fix — each direction used to get the full limit).
+  // budget.
   std::int64_t remaining = conflict_limit;
   if (conflict_limit >= 0) {
     const auto spent =
@@ -47,6 +50,13 @@ sat::Solver::Result PairSolver::prove_false(aig::Lit lit,
   if (solve_faulted()) return sat::Solver::Result::kUnknown;
   ++sat_calls_;
   return solver_.solve({enc_.encode(lit)}, conflict_limit);
+}
+
+void PairSolver::charge(SweeperStats& stats) {
+  stats.sat_calls += std::exchange(sat_calls_, 0);
+  stats.solve_faults += std::exchange(solve_faults_, 0);
+  stats.conflicts +=
+      solver_.conflicts - std::exchange(charged_conflicts_, solver_.conflicts);
 }
 
 std::vector<bool> PairSolver::model_cex() const {

@@ -3,20 +3,15 @@
 /// \brief The reusable SAT core of a sweep: one solver + encoder checking
 /// candidate pairs of one miter (DESIGN.md §2.5).
 ///
-/// Both sweepers are built on this class. The sequential SatSweeper keeps
-/// ONE PairSolver alive for the whole run (no substitution map — cones
-/// are encoded verbatim and proved merges are reinforced with equality
-/// clauses only). The parallel sweeper creates one PairSolver per work
-/// chunk, attached to a private SubstitutionMap snapshot, so cones
-/// collapse through everything proved so far and the solver never grows
-/// beyond a chunk's worth of clauses — the determinism unit of the shard
-/// protocol.
+/// Both round strategies of the sweep driver are built on this class:
+/// the persistent core keeps ONE PairSolver without a substitution map
+/// for the whole run; the sharded strategy creates one per work chunk,
+/// attached to a private SubstitutionMap snapshot, so cones collapse
+/// through everything proved so far.
 ///
 /// Budget accounting: an equivalence query is split into the two polarity
 /// cases (a&!b, !a&b). The conflict budget covers the WHOLE query: the
-/// second directional solve is charged only what the first one left
-/// (previously each direction got the full budget, so one pair could
-/// legally spend 2x the configured limit).
+/// second directional solve is charged only what the first one left.
 
 #include <cstdint>
 #include <functional>
@@ -28,6 +23,8 @@
 #include "sat/solver.hpp"
 
 namespace simsweep::sweep {
+
+struct SweeperStats;
 
 class PairSolver {
  public:
@@ -72,9 +69,11 @@ class PairSolver {
   }
 
   std::uint64_t conflicts() const { return solver_.conflicts; }
-  std::size_t sat_calls() const { return sat_calls_; }
-  std::size_t solve_faults() const { return solve_faults_; }
   bool inconsistent() const { return solver_.inconsistent(); }
+
+  /// Adds the SAT effort spent since the previous charge (sat_calls,
+  /// conflicts, solve_faults) to `stats`.
+  void charge(SweeperStats& stats);
 
  private:
   /// Injection site "sat.solve" (DESIGN.md §2.4): a fired solve entry is
@@ -86,8 +85,10 @@ class PairSolver {
   const aig::SubstitutionMap* subst_;
   sat::Solver solver_;
   cnf::TseitinEncoder enc_;
+  // Effort not yet handed to charge().
   std::size_t sat_calls_ = 0;
   std::size_t solve_faults_ = 0;
+  std::uint64_t charged_conflicts_ = 0;
 };
 
 }  // namespace simsweep::sweep

@@ -2,456 +2,144 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <cstdint>
 #include <new>
 #include <optional>
 
-#include "aig/aig_analysis.hpp"
-#include "aig/rebuild.hpp"
 #include "common/log.hpp"
-#include "common/timer.hpp"
 #include "fault/fault.hpp"
 #include "parallel/thread_pool.hpp"
-#include "sim/ec_manager.hpp"
-#include "sweep/pair_solver.hpp"
+#include "sweep/sweep_driver.hpp"
 
 namespace simsweep::sweep {
-
-sim::PatternBank SharedCexBank::pack() const {
-  common::RankedMutexLock lock(mu_, common::lock_ranks::cex_bank);
-  sim::CexCollector collector(num_pis_);
-  std::vector<std::pair<unsigned, bool>> assignment;
-  for (const std::vector<bool>& row : rows_) {
-    assignment.clear();
-    assignment.reserve(row.size());
-    for (unsigned i = 0; i < row.size(); ++i)
-      assignment.emplace_back(i, row[i]);
-    collector.add(assignment);
-  }
-  sim::PatternBank bank(num_pis_, 0);
-  collector.flush_into(bank);
-  return bank;
-}
-
 namespace {
 
-/// Outcome of one candidate pair, written by exactly one chunk processor
-/// and read by the host after the round barrier (the pool's job
-/// completion is the happens-before edge).
-struct PairOutcome {
-  enum class Kind : std::uint8_t { kUnknown, kEqual, kDistinct, kPruned };
-  Kind kind = Kind::kUnknown;
-  bool via_sim = false;   // resolved by exhaustive cone simulation
-  std::vector<bool> cex;  // for kDistinct
-};
-
-/// Per-chunk solver accounting (single writer: the claiming shard).
-struct ChunkStats {
-  std::uint64_t conflicts = 0;
-  std::size_t sat_calls = 0;
-  std::size_t solve_faults = 0;
-  bool failed = false;  ///< chunk body threw; its pairs stay undecided
-};
-
-}  // namespace
-
-SweepResult ParallelSatSweeper::check_miter(const aig::Aig& miter) const {
-  Timer t;
-  SweepResult result;
-  SweeperStats& stats = result.stats;
-  auto out_of_time = [&]() -> bool {
-    if (params_.cancel != nullptr &&
-        params_.cancel->load(std::memory_order_relaxed))
-      return true;
-    return params_.time_limit > 0 && t.seconds() > params_.time_limit;
-  };
-  auto finish = [&](Verdict v) {
-    result.verdict = v;
-    stats.seconds = t.seconds();
-    return result;
-  };
-
-  if (aig::miter_disproved(miter)) return finish(Verdict::kNotEquivalent);
-  if (aig::miter_proved(miter)) return finish(Verdict::kEquivalent);
-
-  const unsigned num_threads = std::max(1u, params_.num_threads);
-  const std::size_t chunk_size = std::max<std::size_t>(1, params_.pairs_per_chunk);
-
-  // Injection site `sweep.shard_alloc` (DESIGN.md §2.4): the shard-state
-  // allocation (board, shared bank, private pool, per-chunk tables) is
-  // the parallel path's first commitment of memory; under pressure it
-  // fails here, before any thread is spawned, and the sweep_miter()
-  // dispatcher degrades to the sequential sweeper.
-  if (SIMSWEEP_FAULT_POINT(fault::sites::kSweepShardAlloc)) throw std::bad_alloc{};
-
-  EquivBoard board(miter.num_nodes());
-  SharedCexBank shared_cex(miter.num_pis());
-  aig::SubstitutionMap subst(miter.num_nodes());
-  // stats.shard is sized lazily per round to the shards that actually
-  // run (min(num_threads, num_chunks)), never to num_threads up front: a
-  // run whose rounds have fewer chunks than threads must not carry — or
-  // publish as sat_sweeper.shard.sN.* gauges — all-zero rows for shards
-  // that never existed. When candidate pairs run out before the first
-  // round, the vector stays empty and stats.shards stays 0.
-
-  // A private pool by default: the global pool serializes whole jobs, so
-  // parking a long sweep launch there would starve concurrent clients
-  // (the racing portfolio engines). num_threads counts the calling
-  // thread. A caller-injected pool (params_.pool; the batch service's
-  // shared executor, DESIGN.md §2.9) takes precedence so concurrent jobs
-  // share one worker set instead of oversubscribing the host.
-  std::optional<parallel::ThreadPool> private_pool;
-  if (params_.pool == nullptr)
-    private_pool.emplace(std::max(1u, num_threads - 1));
-  parallel::ThreadPool& pool =
-      params_.pool != nullptr ? *params_.pool : *private_pool;
-
-  // EC init, or a resume of a crashed run's accumulated bank (DESIGN.md
-  // §2.8) — building over the full bank reproduces its refined partition.
-  const SweepResumeState* resume = params_.resume;
-  const bool resuming =
-      resume != nullptr && resume->bank &&
-      resume->bank->num_pis() == miter.num_pis();
-  sim::PatternBank bank = resuming
-                              ? *resume->bank
-                              : make_init_bank(miter.num_pis(), params_);
-  sim::EcManager ec;
-  ec.build(miter, sim::simulate(miter, bank));
-
-  // Round-barrier journal (DESIGN.md §2.8). Restored merges are applied
-  // to the master state only, not re-published to the board: board/CEX
-  // counts are scheduling-era telemetry, the verdict path is subst + ec.
-  std::vector<std::pair<aig::Var, aig::Lit>> merge_journal;
-  std::vector<aig::Var> removed_nodes;
-  unsigned start_round = 0;
-  if (resuming) {
-    for (const auto& [node, lit] : resume->merges) {
-      subst.merge(node, lit);
-      ec.mark_proved(node);
-    }
-    for (aig::Var v : resume->removed) ec.remove_node(v);
-    merge_journal = resume->merges;
-    removed_nodes = resume->removed;
-    stats.pairs_proved = resume->pairs_proved;
-    stats.pairs_disproved = resume->pairs_disproved;
-    stats.pairs_undecided = resume->pairs_undecided;
-    start_round = resume->next_round;
+/// Sharded-chunks round strategy (see the file comment of the header).
+class ShardedChunks final : public detail::RoundStrategy {
+ public:
+  ShardedChunks(const aig::Aig& miter, const SweeperParams& params,
+                const detail::SweepDeadline& deadline)
+      : miter_(miter), params_(params), deadline_(deadline) {
+    // Injection site `sweep.shard_alloc` (DESIGN.md §2.4): the shard
+    // state is the parallel path's first commitment of memory; under
+    // pressure it fails here, before any thread is spawned.
+    if (SIMSWEEP_FAULT_POINT(fault::sites::kSweepShardAlloc))
+      throw std::bad_alloc{};
+    // A private pool unless the caller injects one (DESIGN.md §2.9): the
+    // global pool serializes whole jobs, so a long sweep parked there
+    // would starve the racing portfolio engines. num_threads counts the
+    // calling thread; the pool gets at least one worker.
+    if (params.pool == nullptr)
+      private_pool_.emplace(params.num_threads > 2 ? params.num_threads - 1
+                                                   : 1u);
+    if (params.sim_support_limit > 0)
+      supports_ = aig::compute_supports(miter, params.sim_support_limit);
   }
 
-  // Structural supports for the simulation-first pair resolution below.
-  // Computed once on the host: the sets are read-only to every shard.
-  std::optional<aig::SupportInfo> support_info;
-  if (params_.sim_support_limit > 0)
-    support_info = aig::compute_supports(miter, params_.sim_support_limit);
-  const aig::SupportInfo* supports =
-      support_info.has_value() ? &*support_info : nullptr;
-
-  for (unsigned round = start_round; round < params_.max_rounds; ++round) {
-    if (out_of_time()) return finish(Verdict::kUndecided);
-    std::vector<sim::CandidatePair> pairs = ec.candidate_pairs();
-    if (pairs.empty()) break;
-    // The same topological order as the sequential sweeper; chunk
-    // boundaries depend only on it and chunk_size, never on threads.
-    std::sort(pairs.begin(), pairs.end(),
-              [](const sim::CandidatePair& x, const sim::CandidatePair& y) {
-                return x.node < y.node;
-              });
-
-    const std::size_t num_chunks = (pairs.size() + chunk_size - 1) / chunk_size;
+  std::vector<detail::PairOutcome> check_round(
+      const std::vector<sim::CandidatePair>& pairs,
+      const aig::SubstitutionMap& subst, SweeperStats& stats) override {
+    using Kind = detail::PairOutcome::Kind;
+    const std::size_t chunk = std::max<std::size_t>(1, params_.pairs_per_chunk);
+    const std::size_t num_chunks = (pairs.size() + chunk - 1) / chunk;
     const std::size_t num_shards =
-        std::min<std::size_t>(num_threads, num_chunks);
+        std::min<std::size_t>(std::max(1u, params_.num_threads), num_chunks);
+    // Sized to the shards that actually run, never to num_threads: the
+    // report must not carry rows for shards that never existed.
     if (stats.shard.size() < num_shards) stats.shard.resize(num_shards);
-    std::vector<PairOutcome> outcomes(pairs.size());
-    std::vector<ChunkStats> chunk_stats(num_chunks);
+    std::vector<detail::PairOutcome> outcomes(pairs.size());
+    std::vector<SweeperStats> chunk_stats(num_chunks);
     std::atomic<std::size_t> ticket{0};
-    const std::size_t round_board_base = board.size();
-    const std::size_t round_cex_base = shared_cex.size();
-
-    // Hermetic chunk processing: a fresh solver over a private copy of
-    // the round-start substitution map. The chunk outcome is a pure
-    // function of (miter, round-start state, chunk pairs) — identical no
-    // matter which shard runs it. Opportunistic mode additionally polls
-    // the shared channels at pair boundaries, trading that invariance
-    // for earlier cone collapsing / pair pruning.
-    auto process_chunk = [&](std::size_t c) {
-      ChunkStats& cs = chunk_stats[c];
-      const std::size_t first = c * chunk_size;
-      const std::size_t last =
-          std::min(first + chunk_size, pairs.size());
-      try {
-        aig::SubstitutionMap local = subst;
-        std::size_t board_seen = round_board_base;
-        std::size_t cex_seen = round_cex_base;
-        std::vector<std::vector<bool>> foreign_rows;
-        PairSolver ps(miter, &local);
-        ps.set_interrupt(out_of_time);
-        for (std::size_t p = first; p < last; ++p) {
-          if (out_of_time()) break;  // remaining pairs stay kUnknown
-          const sim::CandidatePair& pair = pairs[p];
-          const aig::Lit lr = aig::make_lit(pair.repr, pair.phase);
-          const aig::Lit ln = aig::make_lit(pair.node);
-          if (!params_.deterministic) {
-            // Pair-boundary adoption of foreign results: merges shrink
-            // the cones this chunk has not encoded yet; CEXs prune pairs
-            // another shard already distinguished.
-            for (const auto& m : board.merges_since(board_seen)) {
-              local.merge(m.first, m.second);
-              ++board_seen;
-            }
-            auto rows = shared_cex.rows_since(cex_seen);
-            cex_seen += rows.size();
-            for (auto& row : rows) foreign_rows.push_back(std::move(row));
-            bool pruned = false;
-            for (const std::vector<bool>& row : foreign_rows) {
-              if (miter.evaluate_lit(lr, row) != miter.evaluate_lit(ln, row)) {
-                pruned = true;
-                break;
-              }
-            }
-            if (pruned) {
-              outcomes[p].kind = PairOutcome::Kind::kPruned;
-              continue;
-            }
-          }
-          // Simulation-first resolution (paper §I): when the pair's
-          // combined structural support fits in a word-packed window,
-          // exhaustively simulating both cones over it is a *complete*
-          // proof — no SAT call, no conflicts, and the outcome is a pure
-          // function of the miter, so determinism is preserved. This is
-          // the parallel sweeper's main single-core win over the
-          // sequential pure-SAT baseline; hard wide-support pairs still
-          // go to the solver below.
-          if (supports != nullptr && supports->small(pair.repr) &&
-              supports->small(pair.node)) {
-            const std::vector<aig::Var> window = aig::sorted_union(
-                supports->sets[pair.repr], supports->sets[pair.node]);
-            if (window.size() <= params_.sim_support_limit) {
-              const tt::TruthTable tr =
-                  aig::cone_truth_table(miter, lr, window);
-              const tt::TruthTable tn =
-                  aig::cone_truth_table(miter, ln, window);
-              outcomes[p].via_sim = true;
-              if (tr == tn) {
-                outcomes[p].kind = PairOutcome::Kind::kEqual;
-                local.merge(pair.node, lr);
-                board.publish(pair.node, lr);
-              } else {
-                // First differing minterm, expanded to a full-width CEX:
-                // window PI k takes bit k of the minterm index, every
-                // PI outside the window is a don't-care held at 0.
-                const tt::TruthTable diff = tr ^ tn;
-                std::uint64_t idx = 0;
-                for (std::size_t w = 0; w < diff.words().size(); ++w) {
-                  if (diff.words()[w] == 0) continue;
-                  idx = w * 64 +
-                        static_cast<unsigned>(
-                            std::countr_zero(diff.words()[w]));
-                  break;
-                }
-                std::vector<bool> cex(miter.num_pis(), false);
-                for (std::size_t k = 0; k < window.size(); ++k)
-                  cex[window[k] - 1] = (idx >> k) & 1;
-                outcomes[p].kind = PairOutcome::Kind::kDistinct;
-                outcomes[p].cex = std::move(cex);
-                shared_cex.publish(outcomes[p].cex);
-              }
-              continue;
-            }
-          }
-          switch (ps.check_pair(lr, ln, params_.conflict_limit)) {
-            case PairSolver::Outcome::kEqual:
-              outcomes[p].kind = PairOutcome::Kind::kEqual;
-              ps.assert_equal(lr, ln);
-              local.merge(pair.node, lr);  // later cones collapse through it
-              board.publish(pair.node, lr);
-              break;
-            case PairSolver::Outcome::kDistinct:
-              outcomes[p].kind = PairOutcome::Kind::kDistinct;
-              outcomes[p].cex = ps.model_cex();
-              shared_cex.publish(outcomes[p].cex);
-              break;
-            case PairSolver::Outcome::kUnknown:
-              outcomes[p].kind = PairOutcome::Kind::kUnknown;
-              break;
-          }
-          if (ps.inconsistent()) break;
-        }
-        cs.conflicts = ps.conflicts();
-        cs.sat_calls = ps.sat_calls();
-        cs.solve_faults = ps.solve_faults();
-      } catch (...) {
-        // A worker failure must not unwind across the pool: the chunk's
-        // pairs stay soundly undecided and the sweep continues.
-        cs.failed = true;
-      }
-    };
 
     // The shard loops: one granular stage, chunks claimed off a shared
     // ticket cursor. A shard's "home" chunks are those congruent to its
-    // id; claiming any other chunk is work stealing (the fast shards
-    // drain the slow shards' partitions).
+    // id; claiming any other chunk is a steal. Each chunk is checked by a
+    // fresh solver over a private copy of the round-start map.
     parallel::StagePlan plan;
     plan.set_granular(true);
     plan.stage(0, num_shards, [&](std::size_t s) {
-      Timer shard_t;
-      ShardStats local;
-      for (;;) {
-        if (out_of_time()) break;
-        const std::size_t c =
-            ticket.fetch_add(1, std::memory_order_relaxed);
-        if (c >= num_chunks) break;
-        ++local.chunks;
-        if (c % num_shards != s) ++local.steals;
-        process_chunk(c);
-      }
+      const Timer shard_t;
       ShardStats& acc = stats.shard[s];  // single writer: shard s
-      acc.chunks += local.chunks;
-      acc.steals += local.steals;
+      while (!deadline_.expired()) {
+        const std::size_t c = ticket.fetch_add(1, std::memory_order_relaxed);
+        if (c >= num_chunks) break;
+        ++acc.chunks;
+        if (c % num_shards != s) ++acc.steals;
+        const std::size_t first = c * chunk;
+        const std::size_t n = std::min(chunk, pairs.size() - first);
+        try {
+          aig::SubstitutionMap local = subst;
+          PairSolver ps(miter_, &local);
+          ps.set_interrupt([this] { return deadline_.expired(); });
+          detail::check_pairs(miter_, params_, deadline_, ps, &local,
+                              supports_ ? &*supports_ : nullptr,
+                              std::span(pairs).subspan(first, n),
+                              std::span(outcomes).subspan(first, n));
+          ps.charge(chunk_stats[c]);
+        } catch (...) {
+          // A worker failure must not unwind across the pool: the
+          // chunk's unchecked pairs stay soundly undecided.
+        }
+      }
       acc.busy_seconds += shard_t.seconds();
     });
-    pool.run_stages(plan);
+    (private_pool_ ? *private_pool_ : *params_.pool).run_stages(plan);
 
-    // Round barrier: the host applies every chunk's outcome in pair
-    // order, so EC state, substitution map and counters evolve exactly
-    // the same way regardless of worker interleaving.
-    std::size_t proved = 0;
-    sim::CexCollector collector(miter.num_pis());
-    std::vector<std::pair<unsigned, bool>> assignment;
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      const sim::CandidatePair& pair = pairs[p];
-      if (outcomes[p].via_sim) ++stats.pairs_sim_resolved;
-      switch (outcomes[p].kind) {
-        case PairOutcome::Kind::kEqual: {
-          // Injection site `sweep.board_merge` (DESIGN.md §2.4):
-          // applying a shard-proved merge to the master state is the
-          // barrier's structural step; a failure here abandons the
-          // parallel attempt (dispatcher falls back to sequential).
-          if (SIMSWEEP_FAULT_POINT(fault::sites::kSweepBoardMerge))
-            throw fault::FaultError(fault::sites::kSweepBoardMerge);
-          subst.merge(pair.node, aig::make_lit(pair.repr, pair.phase));
-          ec.mark_proved(pair.node);
-          merge_journal.emplace_back(pair.node,
-                                     aig::make_lit(pair.repr, pair.phase));
-          ++proved;
-          ++stats.pairs_proved;
-          break;
-        }
-        case PairOutcome::Kind::kDistinct: {
-          ++stats.pairs_disproved;
-          assignment.clear();
-          const std::vector<bool>& pis = outcomes[p].cex;
-          assignment.reserve(pis.size());
-          for (unsigned i = 0; i < pis.size(); ++i)
-            assignment.emplace_back(i, pis[i]);
-          collector.add(assignment);
-          break;
-        }
-        case PairOutcome::Kind::kPruned:
-          // Distinguished by a CEX another chunk shared mid-round; the
-          // refinement below separates the pair using that same pattern.
-          ++stats.pairs_pruned;
-          break;
-        case PairOutcome::Kind::kUnknown:
-          ++stats.pairs_undecided;
-          ec.remove_node(pair.node);  // do not retry within this run
-          removed_nodes.push_back(pair.node);
-          break;
+    for (const detail::PairOutcome& o : outcomes) {
+      if (o.kind == Kind::kEqual) {
+        // Injection site `sweep.board_merge` (DESIGN.md §2.4): one hit
+        // per shard-proved merge the barrier is about to apply; a fire
+        // abandons the parallel attempt.
+        if (SIMSWEEP_FAULT_POINT(fault::sites::kSweepBoardMerge))
+          throw fault::FaultError(fault::sites::kSweepBoardMerge);
+        ++stats.board_merges;
+      } else if (o.kind == Kind::kDistinct) {
+        ++stats.cex_shared;
       }
     }
-    for (const ChunkStats& cs : chunk_stats) {
-      stats.conflicts += cs.conflicts;
+    for (const SweeperStats& cs : chunk_stats) {
       stats.sat_calls += cs.sat_calls;
+      stats.conflicts += cs.conflicts;
       stats.solve_faults += cs.solve_faults;
     }
     stats.chunks += num_chunks;
     stats.shards = std::max(stats.shards, num_shards);
-    SIMSWEEP_LOG_INFO(
-        "parallel sweep round %u: %zu chunks on %zu shards, %zu proved, "
-        "%zu CEX",
-        round, num_chunks, num_shards, proved, collector.num_cexes());
-
-    if (out_of_time()) return finish(Verdict::kUndecided);
-    if (collector.empty()) break;
-    sim::PatternBank cex_bank(miter.num_pis(), 0);
-    collector.flush_into(cex_bank);
-    ec.refine(sim::simulate(miter, cex_bank));
-    if (params_.checkpoint_hook) {
-      // Host-thread checkpoint offer at the round barrier (DESIGN.md
-      // §2.8): fold the round's CEX columns into the accumulated bank so
-      // a snapshot's bank re-derives exactly these refined classes; hook
-      // exceptions are swallowed (must never change the verdict).
-      for (std::size_t w = 0; w < cex_bank.num_words(); ++w) {
-        std::vector<sim::Word> column(miter.num_pis());
-        for (unsigned pi = 0; pi < miter.num_pis(); ++pi)
-          column[pi] = cex_bank.word(pi, w);
-        bank.append_words(column);
-      }
-      SweepCheckpointView view;
-      view.miter = &miter;
-      view.next_round = round + 1;
-      view.merges = &merge_journal;
-      view.removed = &removed_nodes;
-      view.bank = &bank;
-      SweeperStats snap_stats = stats;
-      snap_stats.seconds = t.seconds();
-      view.stats = &snap_stats;
-      try {
-        params_.checkpoint_hook(view);
-      } catch (...) {
-      }
-    }
+    return outcomes;
   }
-  stats.board_merges = board.size();
-  stats.cex_shared = shared_cex.size();
 
-  // Final PO proving on a fresh core attached to the master substitution
-  // map: every PO cone is encoded fully collapsed through all merges.
-  PairSolver core(miter, &subst);
-  core.set_interrupt(out_of_time);
-  auto finish_with_core = [&](Verdict v) {
-    stats.sat_calls += core.sat_calls();
-    stats.conflicts += core.conflicts();
-    stats.solve_faults += core.solve_faults();
-    return finish(v);
-  };
-  bool all_proved = true;
-  for (aig::Lit po : miter.pos()) {
-    if (out_of_time()) return finish_with_core(Verdict::kUndecided);
-    const aig::Lit r = subst.resolve(po);
-    if (r == aig::kLitFalse) continue;
-    if (r == aig::kLitTrue) return finish_with_core(Verdict::kNotEquivalent);
-    switch (core.prove_false(r, params_.conflict_limit)) {
-      case sat::Solver::Result::kUnsat:
-        break;  // this PO is constant 0
-      case sat::Solver::Result::kSat:
-        result.cex = core.model_cex();
-        return finish_with_core(Verdict::kNotEquivalent);
-      case sat::Solver::Result::kUnknown:
-        all_proved = false;
-        break;
-    }
-  }
-  return finish_with_core(all_proved ? Verdict::kEquivalent
-                                     : Verdict::kUndecided);
+ private:
+  const aig::Aig& miter_;
+  const SweeperParams& params_;
+  const detail::SweepDeadline& deadline_;
+  std::optional<parallel::ThreadPool> private_pool_;
+  std::optional<aig::SupportInfo> supports_;
+};
+
+SweepResult sweep_sharded(const aig::Aig& miter, const SweeperParams& params,
+                          const detail::SweepDeadline& deadline) {
+  ShardedChunks strategy(miter, params, deadline);
+  return detail::run_sweep(miter, params, deadline, strategy);
+}
+
+}  // namespace
+
+SweepResult ParallelSatSweeper::check_miter(const aig::Aig& miter) const {
+  return sweep_sharded(miter, params_, detail::SweepDeadline(params_));
 }
 
 SweepResult sweep_miter(const aig::Aig& miter, const SweeperParams& params) {
+  // One deadline for the whole call: a fallback spends only what the
+  // failed sharded attempt left of the budget.
+  const detail::SweepDeadline deadline(params);
   if (params.num_threads <= 1)
-    return SatSweeper(params).check_miter(miter);
+    return detail::sweep_persistent(miter, params, deadline);
   try {
-    return ParallelSatSweeper(params).check_miter(miter);
+    return sweep_sharded(miter, params, deadline);
   } catch (const std::bad_alloc&) {
-    SIMSWEEP_LOG_WARN("parallel sweep failed (bad_alloc); degrading to "
-                      "sequential sweeper");
+    SIMSWEEP_LOG_WARN("parallel sweep failed (bad_alloc); going sequential");
   } catch (const fault::FaultError& e) {
-    SIMSWEEP_LOG_WARN("parallel sweep failed (%s); degrading to sequential "
-                      "sweeper",
-                      e.what());
+    SIMSWEEP_LOG_WARN("parallel sweep failed (%s); going sequential", e.what());
   }
-  SweeperParams sequential = params;
-  sequential.num_threads = 1;
-  SweepResult r = SatSweeper(sequential).check_miter(miter);
+  SweepResult r = detail::sweep_persistent(miter, params, deadline);
   r.stats.parallel_fallbacks = 1;
   return r;
 }

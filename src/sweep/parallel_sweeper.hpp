@@ -1,145 +1,32 @@
 #pragma once
 /// \file parallel_sweeper.hpp
-/// \brief Parallel residue sweeping: sharded multi-solver SAT sweep with
-/// shared CEX / equivalence propagation (DESIGN.md §2.5).
+/// \brief Parallel residue sweeping: the sharded-chunks round strategy of
+/// the sweep driver, and the sweep_miter() dispatcher (DESIGN.md §2.5).
 ///
-/// The engine hands its undecided residue to SAT sweeping, and on hard
-/// arithmetic miters that phase dominates wall time. This module
-/// parallelizes it without giving up reproducibility:
+/// Each round's candidate pairs are cut into fixed chunks
+/// (SweeperParams::pairs_per_chunk, independent of the thread count),
+/// claimed off an atomic ticket by shard loops on a staged executor. A
+/// chunk is checked hermetically — a fresh PairSolver over a private copy
+/// of the round-start substitution map — so its outcome is a pure
+/// function of (miter, round-start state, chunk pairs), and verdict and
+/// merged stats are bit-identical across num_threads and across runs.
+/// Proofs and CEXs cross chunks only at the round barrier.
 ///
-///  - Each round's candidate pairs are split into fixed-size chunks
-///    (SweeperParams::pairs_per_chunk — independent of the thread count).
-///    A chunk is checked hermetically: a fresh sat::Solver plus a
-///    substitution-aware Tseitin encoding over a private copy of the
-///    round-start substitution map. Its outcome is therefore a pure
-///    function of (miter, round-start state, chunk pairs) — the same no
-///    matter which shard runs it, which makes verdict and merged stats
-///    bit-identical across num_threads and across runs.
-///  - Shards are long-running loops scheduled as one granular stage on a
-///    private parallel::ThreadPool; they claim chunks from an atomic
-///    ticket cursor (dynamic stealing: a claim outside the shard's home
-///    partition is counted as a steal — the protocol the PR-2 checked
-///    executor validates).
-///  - Two shared channels propagate results: the EquivBoard (mutex-
-///    annotated union-find journal of proved merges) and the
-///    SharedCexBank (word-packable bank of SAT counterexamples). Shards
-///    always publish; in deterministic mode (default) results are adopted
-///    only at the round barrier, while opportunistic mode
-///    (deterministic=false) also polls both channels at every pair
-///    boundary — foreign merges shrink upcoming cones, foreign CEXs prune
-///    pairs already distinguished.
-///  - Budgets derive from the global deadline: every shard solver polls
-///    the shared deadline/cancel flag through the solver interrupt hook,
-///    and the per-pair conflict budget covers both directional solves
-///    (sweep::PairSolver).
-///
-/// Degradation (DESIGN.md §2.4): host-side fault sites sweep.shard_alloc
-/// (shard-state allocation, throws std::bad_alloc) and sweep.board_merge
-/// (barrier merge application, throws fault::FaultError) are caught by
-/// the sweep_miter() dispatcher, which falls back to the sequential
-/// SatSweeper — the ladder degrades instead of aborting, and the verdict
-/// stays sound. Worker-side failures never unwind across threads: a chunk
-/// that throws is marked failed and its pairs stay soundly undecided.
-
-#include <cstddef>
-#include <utility>
-#include <vector>
+/// Degradation (DESIGN.md §2.4): the host-side fault sites
+/// sweep.shard_alloc (throws std::bad_alloc) and sweep.board_merge
+/// (throws fault::FaultError) are caught by sweep_miter(), which falls
+/// back to the sequential sweep under the same deadline. A chunk that
+/// throws on a worker leaves its unchecked pairs soundly undecided.
 
 #include "aig/aig.hpp"
 #include "aig/miter.hpp"
-#include "common/lock_ranks.hpp"
-#include "common/thread_annotations.hpp"
-#include "sim/partial_sim.hpp"
 #include "sweep/sat_sweeper.hpp"
 
 namespace simsweep::sweep {
 
-/// Proved-equivalence board shared by the shards: an append-only journal
-/// of union-find merges (node -> replacement literal) over miter nodes.
-/// Publishers are the shard loops (one successful publish per proved
-/// pair); consumers replay journal suffixes into their private
-/// substitution maps. Within a round all merge targets are distinct
-/// (every candidate pair owns its node), so publishes commute and the
-/// board content at a barrier is deterministic even though the journal
-/// order is not.
-class EquivBoard {
- public:
-  explicit EquivBoard(std::size_t num_nodes) : bound_(num_nodes, false) {}
-
-  /// Publishes "node is equivalent to lit". Returns false (and records
-  /// nothing) if the node is already bound — duplicate proofs of the same
-  /// node are counted once.
-  bool publish(aig::Var node, aig::Lit lit) SIMSWEEP_EXCLUDES(mu_) {
-    common::RankedMutexLock lock(mu_, common::lock_ranks::board);
-    if (bound_[node]) return false;
-    bound_[node] = true;
-    journal_.emplace_back(node, lit);
-    return true;
-  }
-
-  /// Number of merges published so far (a journal cursor for
-  /// merges_since; monotone within a sweep).
-  std::size_t size() const SIMSWEEP_EXCLUDES(mu_) {
-    common::RankedMutexLock lock(mu_, common::lock_ranks::board);
-    return journal_.size();
-  }
-
-  /// Journal entries [from, size()) — the consumer replays them into its
-  /// private map and advances its cursor.
-  std::vector<std::pair<aig::Var, aig::Lit>> merges_since(
-      std::size_t from) const SIMSWEEP_EXCLUDES(mu_) {
-    common::RankedMutexLock lock(mu_, common::lock_ranks::board);
-    if (from >= journal_.size()) return {};
-    return {journal_.begin() + static_cast<std::ptrdiff_t>(from),
-            journal_.end()};
-  }
-
- private:
-  mutable common::Mutex mu_;
-  std::vector<std::pair<aig::Var, aig::Lit>> journal_ SIMSWEEP_GUARDED_BY(mu_);
-  std::vector<bool> bound_ SIMSWEEP_GUARDED_BY(mu_);
-};
-
-/// Shared CEX pattern bank: SAT counterexamples (full PI assignments)
-/// appended by any shard, readable as journal suffixes for mid-round
-/// pruning and word-packable into a sim::PatternBank for EC refinement.
-class SharedCexBank {
- public:
-  explicit SharedCexBank(unsigned num_pis) : num_pis_(num_pis) {}
-
-  void publish(const std::vector<bool>& pis) SIMSWEEP_EXCLUDES(mu_) {
-    common::RankedMutexLock lock(mu_, common::lock_ranks::cex_bank);
-    rows_.push_back(pis);
-  }
-
-  std::size_t size() const SIMSWEEP_EXCLUDES(mu_) {
-    common::RankedMutexLock lock(mu_, common::lock_ranks::cex_bank);
-    return rows_.size();
-  }
-
-  /// Rows [from, size()) — a consumer's journal suffix.
-  std::vector<std::vector<bool>> rows_since(std::size_t from) const
-      SIMSWEEP_EXCLUDES(mu_) {
-    common::RankedMutexLock lock(mu_, common::lock_ranks::cex_bank);
-    if (from >= rows_.size()) return {};
-    return {rows_.begin() + static_cast<std::ptrdiff_t>(from), rows_.end()};
-  }
-
-  /// Word-packs every published row into a PatternBank (64 CEXs per
-  /// word, via sim::CexCollector).
-  sim::PatternBank pack() const SIMSWEEP_EXCLUDES(mu_);
-
-  unsigned num_pis() const { return num_pis_; }
-
- private:
-  const unsigned num_pis_;
-  mutable common::Mutex mu_;
-  std::vector<std::vector<bool>> rows_ SIMSWEEP_GUARDED_BY(mu_);
-};
-
-/// The sharded sweeper. Prefer the sweep_miter() dispatcher, which
-/// routes num_threads == 1 to the sequential SatSweeper and degrades to
-/// it when a parallel-path fault fires.
+/// The sharded sweep. Prefer the sweep_miter() dispatcher, which routes
+/// num_threads == 1 to the sequential SatSweeper and degrades to it when
+/// a parallel-path fault fires.
 class ParallelSatSweeper {
  public:
   explicit ParallelSatSweeper(SweeperParams params = {})
@@ -157,10 +44,11 @@ class ParallelSatSweeper {
 };
 
 /// Dispatcher used by the portfolio: sequential sweep for
-/// params.num_threads <= 1, parallel otherwise; a host-side fault on the
-/// parallel path (sweep.shard_alloc / sweep.board_merge, or a real
-/// bad_alloc) degrades to the sequential sweeper and records the fallback
-/// in stats.parallel_fallbacks.
+/// params.num_threads <= 1, sharded otherwise; a host-side fault on the
+/// sharded path (sweep.shard_alloc / sweep.board_merge, or a real
+/// bad_alloc) degrades to the sequential sweep, which gets only what is
+/// left of time_limit, and records the fallback in
+/// stats.parallel_fallbacks.
 SweepResult sweep_miter(const aig::Aig& miter, const SweeperParams& params);
 
 }  // namespace simsweep::sweep

@@ -9,7 +9,9 @@
 /// substitution and reinforced with equality clauses so later queries get
 /// cheaper); finally the miter POs themselves are proved or refuted by
 /// SAT. The engine hands its reduced, undecided miters to this checker,
-/// mirroring the paper's GPU+ABC integration.
+/// mirroring the paper's GPU+ABC integration. SatSweeper runs the one
+/// sweep round driver (sweep_driver.hpp) with its persistent-core
+/// strategy: a single long-lived solver checks every pair.
 
 #include <atomic>
 #include <cstdint>
@@ -29,7 +31,48 @@ class ThreadPool;
 
 namespace simsweep::sweep {
 
-struct SweeperStats;
+/// Per-shard scheduling telemetry of one parallel sweep. Chunk/steal
+/// counts and busy time depend on worker interleaving, so they are
+/// telemetry only — excluded from the determinism contract below.
+struct ShardStats {
+  std::size_t chunks = 0;  ///< work chunks this shard claimed
+  std::size_t steals = 0;  ///< claims outside the shard's home partition
+  double busy_seconds = 0; ///< wall time inside the shard loop
+};
+
+struct SweeperStats {
+  std::size_t sat_calls = 0;
+  std::size_t pairs_proved = 0;
+  std::size_t pairs_disproved = 0;
+  std::size_t pairs_undecided = 0;
+  std::uint64_t conflicts = 0;
+  double seconds = 0;
+  /// Solve entries failed by the "sat.solve" injection site (DESIGN.md
+  /// §2.4); each is treated exactly like a conflict-limit kUnknown, the
+  /// sweeper's native sound failure mode.
+  std::size_t solve_faults = 0;
+
+  // --- Parallel-sweep extras (zero / empty for the sequential sweeper).
+  // Determinism contract (DESIGN.md §2.5): every count above plus
+  // chunks, board_merges, cex_shared and pairs_sim_resolved is a pure
+  // function of the miter and the parameters — identical across
+  // num_threads and across runs. shards echoes min(num_threads, chunks
+  // of the widest round); steals and the per-shard breakdown are
+  // scheduling telemetry and may vary. seconds/busy_seconds are wall
+  // time.
+  std::size_t shards = 0;        ///< shard loops of the widest round
+  std::size_t chunks = 0;        ///< work chunks across all rounds
+  std::size_t steals = 0;        ///< cross-partition chunk claims
+  std::size_t board_merges = 0;  ///< shard-proved merges applied at barriers
+  std::size_t cex_shared = 0;    ///< shard CEX patterns applied at barriers
+  /// Pairs settled by exhaustive cone simulation over their combined
+  /// support window (sim_support_limit) instead of SAT.
+  std::size_t pairs_sim_resolved = 0;
+  /// Parallel attempts that degraded to the sequential sweeper (fault
+  /// ladder; set by the sweep_miter() dispatcher).
+  std::size_t parallel_fallbacks = 0;
+  std::vector<ShardStats> shard;
+};
 
 /// Read-only view handed to SweeperParams::checkpoint_hook at every round
 /// barrier of a still-running sweep (DESIGN.md §2.8). Pointers alias
@@ -77,22 +120,13 @@ struct SweeperParams {
   /// returns kUndecided (used by the portfolio).
   double time_limit = 0;
   /// Shard count of the parallel sweeper (sweep_miter() dispatcher;
-  /// DESIGN.md §2.5). 1 selects the sequential SatSweeper. Values > 1
-  /// partition each round's candidate pairs over that many cooperating
-  /// shard loops on a private staged executor.
+  /// DESIGN.md §2.5). 1 selects the sequential SatSweeper.
   unsigned num_threads = 1;
   /// Candidate pairs per work chunk of the parallel sweeper. A chunk is
   /// the determinism unit: it is checked hermetically against the
   /// round-start state by a fresh solver, so its outcome is independent of
   /// which shard runs it and of the thread count.
   std::size_t pairs_per_chunk = 32;
-  /// Deterministic mode (default): shards exchange proofs and CEX
-  /// patterns only at round barriers, making verdict and merged stats
-  /// bit-identical across thread counts and repeated runs. When false,
-  /// shards additionally poll the shared equivalence board and CEX bank
-  /// at every pair boundary (faster convergence, interleaving-dependent
-  /// stats).
-  bool deterministic = true;
   /// Simulation-first pair resolution (parallel sweeper only): a
   /// candidate pair whose combined structural support has at most this
   /// many PIs is resolved by exhaustively simulating both cones over
@@ -124,60 +158,13 @@ struct SweeperParams {
 
   // --- Checkpoint/resume (DESIGN.md §2.8). ---
   /// Invoked on the host thread at every round barrier while the sweep is
-  /// still undecided. Exceptions are swallowed by the sweepers: a failed
-  /// checkpoint must never change the verdict.
+  /// still undecided. Exceptions are swallowed by the sweep driver: a
+  /// failed checkpoint must never change the verdict.
   std::function<void(const SweepCheckpointView&)> checkpoint_hook;
   /// Journal to replay before the first round (takes precedence over
   /// initial_bank for EC init when it carries a bank). Caller keeps the
   /// state alive for the duration of the check.
   const SweepResumeState* resume = nullptr;
-};
-
-/// Per-shard scheduling telemetry of one parallel sweep. Chunk/steal
-/// counts and busy time depend on worker interleaving, so they are
-/// telemetry only — excluded from the determinism contract below.
-struct ShardStats {
-  std::size_t chunks = 0;  ///< work chunks this shard claimed
-  std::size_t steals = 0;  ///< claims outside the shard's home partition
-  double busy_seconds = 0; ///< wall time inside the shard loop
-};
-
-struct SweeperStats {
-  std::size_t sat_calls = 0;
-  std::size_t pairs_proved = 0;
-  std::size_t pairs_disproved = 0;
-  std::size_t pairs_undecided = 0;
-  std::uint64_t conflicts = 0;
-  double seconds = 0;
-  /// Solve entries failed by the "sat.solve" injection site (DESIGN.md
-  /// §2.4); each is treated exactly like a conflict-limit kUnknown, the
-  /// sweeper's native sound failure mode.
-  std::size_t solve_faults = 0;
-
-  // --- Parallel-sweep extras (zero / empty for the sequential sweeper).
-  //
-  // Determinism contract (DESIGN.md §2.5): every count above plus
-  // chunks, board_merges, cex_shared and pairs_sim_resolved is a pure
-  // function of the miter and the parameters — identical across
-  // num_threads and across runs in deterministic mode. shards echoes
-  // min(num_threads, chunks of the widest round); steals, pairs_pruned
-  // and the per-shard breakdown are scheduling telemetry and may vary.
-  // seconds/busy_seconds are wall time.
-  std::size_t shards = 0;        ///< shard loops of the widest round
-  std::size_t chunks = 0;        ///< work chunks across all rounds
-  std::size_t steals = 0;        ///< cross-partition chunk claims
-  std::size_t board_merges = 0;  ///< merges published to the shared board
-  std::size_t cex_shared = 0;    ///< CEX patterns published to the bank
-  /// Pairs settled by exhaustive cone simulation over their combined
-  /// support window (sim_support_limit) instead of SAT.
-  std::size_t pairs_sim_resolved = 0;
-  /// Pairs skipped because a concurrently shared CEX already
-  /// distinguished them (opportunistic mode only).
-  std::size_t pairs_pruned = 0;
-  /// Parallel attempts that degraded to the sequential sweeper (fault
-  /// ladder; set by the sweep_miter() dispatcher).
-  std::size_t parallel_fallbacks = 0;
-  std::vector<ShardStats> shard;
 };
 
 struct SweepResult {
@@ -201,10 +188,5 @@ class SatSweeper {
  private:
   SweeperParams params_;
 };
-
-/// Builds the EC-initialization pattern bank both sweepers start from:
-/// params.sim_words random words extended with the transferred
-/// initial_bank (§V EC transfer) and truncated to max_pattern_words.
-sim::PatternBank make_init_bank(unsigned num_pis, const SweeperParams& params);
 
 }  // namespace simsweep::sweep

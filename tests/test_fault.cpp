@@ -29,7 +29,9 @@
 #include "aig/miter.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "engine/engine.hpp"
+#include "common/timer.hpp"
 #include "gen/arith.hpp"
+#include "gen/suite.hpp"
 #include "opt/resyn.hpp"
 #include "parallel/thread_pool.hpp"
 #include "portfolio/portfolio.hpp"
@@ -459,6 +461,32 @@ TEST(FaultRecovery, BoardMergeFaultDegradesToSequentialSweep) {
   EXPECT_EQ(r.verdict, Verdict::kEquivalent);
   EXPECT_GT(scoped.fires(fault::sites::kSweepBoardMerge), 0u);
   EXPECT_EQ(r.stats.parallel_fallbacks, 1u);
+}
+
+TEST(FaultRecovery, SweepFallbackSpendsOnlyTheRemainingBudget) {
+  // Regression: the sequential fallback used to restart time_limit from
+  // zero, so a `sweep.board_merge` fire at the barrier of a round that
+  // ran into the deadline let one call take ~2x its budget. The miter (a
+  // refuted multiplier pair) needs far more than 2x time_limit on either
+  // path, so only a shared deadline keeps the call inside its budget.
+  gen::SuiteParams suite;
+  suite.doublings = 0;
+  const gen::BenchCase c = gen::make_case("multiplier", suite);
+  const aig::Aig miter =
+      aig::make_miter(c.original, testutil::mutate(c.optimized, 17));
+  fault::FaultPlan plan;
+  plan.on_hit(fault::sites::kSweepBoardMerge, 1, /*fires=*/1);
+  fault::ScopedFaultPlan scoped(plan);
+  sweep::SweeperParams sp;
+  sp.num_threads = 2;
+  sp.time_limit = 0.5;
+  const Timer t;
+  const sweep::SweepResult r = sweep::sweep_miter(miter, sp);
+  const double elapsed = t.seconds();
+  EXPECT_EQ(scoped.fires(fault::sites::kSweepBoardMerge), 1u);
+  EXPECT_EQ(r.stats.parallel_fallbacks, 1u);
+  EXPECT_NE(r.verdict, Verdict::kEquivalent);
+  EXPECT_LE(elapsed, sp.time_limit + 0.1);
 }
 
 TEST(FaultRecovery, CombinedFlowCountsSweepFaultsInjected) {

@@ -1,5 +1,5 @@
 /// \file test_fuzz.cpp
-/// \brief Robustness fuzzing: the AIGER reader and DIMACS parser must
+/// \brief Robustness fuzzing: the AIGER reader and checkpoint parser must
 /// reject corrupted inputs with exceptions — never crash, hang or accept
 /// garbage silently — and randomized pipeline compositions must stay
 /// sound.
@@ -17,7 +17,6 @@
 #include "opt/balance.hpp"
 #include "opt/exact3.hpp"
 #include "opt/refactor.hpp"
-#include "sat/dimacs.hpp"
 #include "sim/partial_sim.hpp"
 #include "test_util.hpp"
 
@@ -165,29 +164,6 @@ TEST_P(CkptFuzz, BitFlipAndTruncationMutationsNeverInvokeUb) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CkptFuzz, ::testing::Values(920, 921, 922));
-
-TEST(DimacsFuzz, GarbageRejectedGracefully) {
-  Rng rng(55);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string text = "p cnf 4 3\n";
-    for (int i = 0; i < 20; ++i) {
-      switch (rng.below(6)) {
-        case 0: text += "p cnf 2 2\n"; break;
-        case 1: text += std::to_string(static_cast<int>(rng.below(19)) - 9);
-                text += " ";
-                break;
-        case 2: text += "0\n"; break;
-        case 3: text += "c junk\n"; break;
-        case 4: text += "%\n"; break;
-        default: text += "\n"; break;
-      }
-    }
-    try {
-      (void)sat::parse_dimacs_string(text);
-    } catch (const std::exception&) {
-    }
-  }
-}
 
 class PipelineFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -34,8 +34,7 @@ TEST(LockRanks, ToStringNamesEveryRank) {
   EXPECT_STREQ(to_string(LockRank::kService), "service");
   EXPECT_STREQ(to_string(LockRank::kPool), "pool");
   EXPECT_STREQ(to_string(LockRank::kExecutor), "executor");
-  EXPECT_STREQ(to_string(LockRank::kBoard), "board");
-  EXPECT_STREQ(to_string(LockRank::kCexBank), "cex_bank");
+  EXPECT_STREQ(to_string(LockRank::kCkpt), "ckpt");
   EXPECT_STREQ(to_string(LockRank::kRegistry), "registry");
   EXPECT_STREQ(to_string(LockRank::kFault), "fault");
   EXPECT_STREQ(to_string(LockRank::kLog), "log");
@@ -70,7 +69,7 @@ TEST(LockRanks, AscendingNestingIsLegal) {
   Mutex outer, mid, inner;
   EXPECT_NO_THROW({
     RankedMutexLock a(outer, lock_ranks::pool);
-    RankedMutexLock b(mid, lock_ranks::board);
+    RankedMutexLock b(mid, lock_ranks::ckpt);
     RankedMutexLock c(inner, lock_ranks::log);
   });
 }
@@ -86,12 +85,12 @@ TEST(LockRanks, ReacquiringAfterReleaseIsLegal) {
 
 TEST(LockRanks, InversionThrows) {
   ScopedThrowEnforcement mode;
-  Mutex board_mu, executor_mu;
-  // The deliberate inversion of the acceptance criterion: board before
-  // executor. Clang rejects the same nesting at compile time
+  Mutex ckpt_mu, executor_mu;
+  // The deliberate inversion: ckpt before executor. Clang rejects the
+  // same nesting at compile time
   // (tests/compile_fail/lock_rank_inversion.cpp); the runtime checker is
   // the GCC-host equivalent.
-  RankedMutexLock outer(board_mu, lock_ranks::board);
+  RankedMutexLock outer(ckpt_mu, lock_ranks::ckpt);
   EXPECT_THROW(RankedMutexLock inner(executor_mu, lock_ranks::executor),
                std::logic_error);
 }
@@ -99,10 +98,10 @@ TEST(LockRanks, InversionThrows) {
 TEST(LockRanks, SameRankNestingThrows) {
   ScopedThrowEnforcement mode;
   Mutex a, b;
-  // Two board-rank locks may never nest (no defined order between two
-  // EquivBoards), so the checker requires STRICT ascent.
-  RankedMutexLock outer(a, lock_ranks::board);
-  EXPECT_THROW(RankedMutexLock inner(b, lock_ranks::board),
+  // Two ckpt-rank locks may never nest (no defined order between two
+  // CheckpointManagers), so the checker requires STRICT ascent.
+  RankedMutexLock outer(a, lock_ranks::ckpt);
+  EXPECT_THROW(RankedMutexLock inner(b, lock_ranks::ckpt),
                std::logic_error);
 }
 

@@ -1,12 +1,11 @@
 /// \file test_sat.cpp
-/// \brief Tests for the CDCL SAT solver and DIMACS front end.
+/// \brief Tests for the CDCL SAT solver.
 
 #include "sat/solver.hpp"
 
 #include <gtest/gtest.h>
 
 #include "common/random.hpp"
-#include "sat/dimacs.hpp"
 
 namespace simsweep::sat {
 namespace {
@@ -125,6 +124,20 @@ TEST(Solver, ConflictBudgetReturnsUnknown) {
   EXPECT_EQ(s.solve({}, -1), Solver::Result::kUnsat);
 }
 
+/// A CNF as variable count + clause list.
+struct Cnf {
+  int num_vars = 0;
+  std::vector<std::vector<Lit>> clauses;
+};
+
+/// Loads a CNF into a solver; false if the solver became inconsistent.
+bool load_cnf(Solver& solver, const Cnf& cnf) {
+  while (solver.num_vars() < cnf.num_vars) solver.new_var();
+  for (const auto& clause : cnf.clauses)
+    if (!solver.add_clause(clause)) return false;
+  return true;
+}
+
 /// Brute-force CNF evaluation oracle.
 bool cnf_satisfiable(const Cnf& cnf) {
   for (std::uint64_t m = 0; m < (std::uint64_t{1} << cnf.num_vars); ++m) {
@@ -181,23 +194,6 @@ TEST_P(RandomCnf, AgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCnf,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-TEST(Dimacs, ParseAndSolve) {
-  const std::string text =
-      "c example\np cnf 3 4\n1 2 0\n-1 3 0\n-2 3 0\n-3 0\n";
-  const Cnf cnf = parse_dimacs_string(text);
-  EXPECT_EQ(cnf.num_vars, 3);
-  ASSERT_EQ(cnf.clauses.size(), 4u);
-  Solver s;
-  load_cnf(s, cnf);
-  EXPECT_EQ(s.solve(), Solver::Result::kUnsat);
-}
-
-TEST(Dimacs, Errors) {
-  EXPECT_THROW(parse_dimacs_string("1 2 0\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs_string("p cnf 1 1\n2 0\n"), std::runtime_error);
-  EXPECT_THROW(parse_dimacs_string("p cnf 1 1\n1\n"), std::runtime_error);
-}
 
 TEST(Solver, StatsAdvance) {
   Solver s;
