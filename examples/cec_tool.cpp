@@ -117,8 +117,7 @@ simsweep::service::JobSpec default_job_spec() {
   spec.params.engine.k_P = 24;
   spec.params.engine.k_p = 14;
   spec.params.engine.k_g = 14;
-  spec.params.engine.cancel = &g_cancel;
-  spec.params.sweeper.cancel = &g_cancel;
+  spec.params.engine.stop = simsweep::fault::StopToken(&g_cancel);
   return spec;
 }
 
@@ -301,8 +300,7 @@ int check(const simsweep::aig::Aig& a, const simsweep::aig::Aig& b,
   cp.combined.engine.k_p = 14;
   cp.combined.engine.k_g = 14;
   cp.combined.engine.registry = &registry;
-  cp.combined.engine.cancel = &g_cancel;
-  cp.combined.sweeper.cancel = &g_cancel;
+  cp.combined.engine.stop = simsweep::fault::StopToken(&g_cancel);
   cp.combined.sweeper.num_threads = opt.sweep_threads;
   cp.checkpoint_path = opt.checkpoint;
   cp.checkpoint_interval = opt.checkpoint_interval;

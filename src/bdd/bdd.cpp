@@ -10,8 +10,9 @@ namespace {
 enum Op : std::uint64_t { kOpAnd = 1, kOpXor = 2, kOpNot = 3, kOpIte = 4 };
 }
 
-BddManager::BddManager(unsigned num_vars, std::size_t node_limit)
-    : num_vars_(num_vars), node_limit_(node_limit) {
+BddManager::BddManager(unsigned num_vars, std::size_t node_limit,
+                       const fault::StopToken* stop)
+    : num_vars_(num_vars), node_limit_(node_limit), stop_(stop) {
   nodes_.push_back(Node{num_vars_, kFalse, kFalse});  // terminal 0
   nodes_.push_back(Node{num_vars_, kTrue, kTrue});    // terminal 1
   var_refs_.assign(num_vars_, kFalse);
@@ -42,6 +43,11 @@ BddManager::Ref BddManager::var(unsigned v) {
 }
 
 BddManager::Ref BddManager::make_node(std::uint32_t v, Ref low, Ref high) {
+  // Every non-terminal, non-cached step of apply/ite/negate ends here, so
+  // this bounds the work between two polls.
+  if (stop_ != nullptr && (++make_calls_ & 0xFFF) == 0 &&
+      stop_->stop_requested())
+    throw BddOverflow();
   if (low == high) return low;  // reduction rule
   const UniqueKey key{v, low, high};
   if (auto it = unique_.find(key); it != unique_.end()) return it->second;

@@ -7,7 +7,9 @@
 /// unique-table + computed-table ROBDD package without complement edges
 /// or garbage collection: nodes live until the manager dies, and a node
 /// limit turns the notorious memory blow-up into a clean BddOverflow
-/// (callers report kUndecided).
+/// (callers report kUndecided). An optional stop token is polled every
+/// 4096 node constructions inside the apply recursion and ends a
+/// runaway operation along the same BddOverflow path.
 
 #include <cstdint>
 #include <optional>
@@ -15,12 +17,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "fault/governor.hpp"
+
 namespace simsweep::bdd {
 
-/// Thrown when the node limit is exceeded; callers treat the check as
-/// undecided.
+/// Thrown when the node limit is exceeded or the stop token fires;
+/// callers treat the check as undecided.
 struct BddOverflow : std::runtime_error {
-  BddOverflow() : std::runtime_error("BDD node limit exceeded") {}
+  BddOverflow() : std::runtime_error("BDD node limit exceeded or stopped") {}
 };
 
 class BddManager {
@@ -30,8 +34,10 @@ class BddManager {
   static constexpr Ref kFalse = 0;
   static constexpr Ref kTrue = 1;
 
+  /// `stop` (may be null) must outlive the manager's operations.
   explicit BddManager(unsigned num_vars,
-                      std::size_t node_limit = std::size_t{1} << 22);
+                      std::size_t node_limit = std::size_t{1} << 22,
+                      const fault::StopToken* stop = nullptr);
 
   unsigned num_vars() const { return num_vars_; }
   std::size_t num_nodes() const { return nodes_.size(); }
@@ -110,6 +116,8 @@ class BddManager {
 
   unsigned num_vars_;
   std::size_t node_limit_;
+  const fault::StopToken* stop_;
+  std::uint32_t make_calls_ = 0;  ///< stop-poll amortization counter
   std::vector<Node> nodes_;  // [0], [1] are placeholder terminals
   std::unordered_map<UniqueKey, Ref, UniqueKeyHash> unique_;
   std::vector<CacheEntry> cache_;

@@ -1,6 +1,7 @@
 #include "bdd/bdd_cec.hpp"
 
 #include "bdd/bdd.hpp"
+#include "common/timer.hpp"
 
 namespace simsweep::bdd {
 
@@ -15,7 +16,8 @@ BddCecResult bdd_check_miter(const aig::Aig& miter,
     return result;
   };
 
-  BddManager mgr(miter.num_pis(), params.node_limit);
+  const fault::StopToken stop = params.stop.child(params.time_limit);
+  BddManager mgr(miter.num_pis(), params.node_limit, &stop);
   std::vector<BddManager::Ref> ref(miter.num_nodes(), BddManager::kFalse);
   try {
     for (unsigned i = 0; i < miter.num_pis(); ++i) ref[i + 1] = mgr.var(i);
@@ -26,13 +28,6 @@ BddCecResult bdd_check_miter(const aig::Aig& miter,
     for (aig::Var v = miter.num_pis() + 1; v < miter.num_nodes(); ++v) {
       ref[v] = mgr.apply_and(lit_ref(miter.fanin0(v)),
                              lit_ref(miter.fanin1(v)));
-      if ((v & 0xFF) == 0) {
-        if (params.cancel != nullptr &&
-            params.cancel->load(std::memory_order_relaxed))
-          return finish(Verdict::kUndecided, mgr.num_nodes());
-        if (params.time_limit > 0 && t.seconds() > params.time_limit)
-          return finish(Verdict::kUndecided, mgr.num_nodes());
-      }
     }
     for (aig::Lit po : miter.pos()) {
       const BddManager::Ref r = lit_ref(po);

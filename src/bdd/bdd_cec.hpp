@@ -9,24 +9,23 @@
 /// CEC, paper §I) into a kUndecided verdict, which is exactly the behavior
 /// the portfolio checker needs.
 
-#include <atomic>
 #include <optional>
 #include <vector>
 
 #include "aig/aig.hpp"
 #include "aig/miter.hpp"
-#include "common/timer.hpp"
 #include "common/verdict.hpp"
+#include "fault/governor.hpp"
 
 namespace simsweep::bdd {
 
 struct BddCecParams {
   std::size_t node_limit = std::size_t{1} << 22;
-  /// Wall-clock budget in seconds; 0 = unbounded.
+  /// Wall-clock cap in seconds; 0 = unbounded. Applied once at entry as
+  /// stop.child(time_limit).
   double time_limit = 0;
-  /// Cooperative cancellation (portfolio use): checked periodically while
-  /// building node BDDs.
-  const std::atomic<bool>* cancel = nullptr;
+  /// Stop token (portfolio use), polled inside the BDD apply recursion.
+  fault::StopToken stop;
 };
 
 struct BddCecResult {

@@ -25,7 +25,8 @@ BddSweepResult bdd_sweep_miter(const aig::Aig& miter,
   const unsigned num_pis = miter.num_pis();
   const unsigned max_vars =
       num_pis + static_cast<unsigned>(miter.num_ands());
-  BddManager mgr(max_vars, params.manager_limit);
+  const fault::StopToken stop = params.stop.child(params.time_limit);
+  BddManager mgr(max_vars, params.manager_limit, &stop);
   unsigned next_cutpoint = num_pis;
 
   std::vector<BddManager::Ref> ref(miter.num_nodes(), BddManager::kFalse);
@@ -43,13 +44,6 @@ BddSweepResult bdd_sweep_miter(const aig::Aig& miter,
     };
 
     for (aig::Var v = num_pis + 1; v < miter.num_nodes(); ++v) {
-      if (params.cancel != nullptr &&
-          params.cancel->load(std::memory_order_relaxed))
-        return finish(Verdict::kUndecided);
-      if (params.time_limit > 0 && (v & 0xFF) == 0 &&
-          t.seconds() > params.time_limit)
-        return finish(Verdict::kUndecided);
-
       BddManager::Ref r =
           mgr.apply_and(lit_ref(miter.fanin0(v)), lit_ref(miter.fanin1(v)));
       if (mgr.dag_size(r) > params.node_size_limit) {

@@ -14,7 +14,6 @@
 /// Included as the fourth portfolio engine and as a baseline for the
 /// historical comparison in EXPERIMENTS.md.
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "aig/aig.hpp"
 #include "aig/miter.hpp"
 #include "common/verdict.hpp"
+#include "fault/governor.hpp"
 
 namespace simsweep::bdd {
 
@@ -30,8 +30,11 @@ struct BddSweepParams {
   std::size_t node_size_limit = 2000;
   /// Total BDD-manager node cap (manager overflow => kUndecided).
   std::size_t manager_limit = std::size_t{1} << 22;
-  double time_limit = 0;  ///< seconds; 0 = unbounded
-  const std::atomic<bool>* cancel = nullptr;
+  /// Wall-clock cap in seconds; 0 = unbounded. Applied once at entry as
+  /// stop.child(time_limit).
+  double time_limit = 0;
+  /// Stop token (portfolio use), polled inside the BDD apply recursion.
+  fault::StopToken stop;
 };
 
 struct BddSweepResult {

@@ -1,6 +1,5 @@
 #include "ckpt/resume.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -140,12 +139,16 @@ CheckpointedResult checked_combined_check_miter(
         mgr.offer(s);
       };
 
-  // Budget restoration: elapsed_seconds is charged against the combined
-  // budget, so restarts finish inside the ORIGINAL engine.time_limit.
+  // Budget restoration: the flow's deadline is the ORIGINAL run's —
+  // elapsed_seconds is charged against engine.time_limit once, here, so
+  // restarts finish inside the original budget and an over-spent
+  // snapshot resumes already expired.
   const double budget = params.combined.engine.time_limit;
-  if (snap && budget > 0)
-    combined.engine.time_limit =
-        std::max(0.05, budget - snap->elapsed_seconds);
+  if (snap && budget > 0) {
+    combined.engine.stop = combined.engine.stop.until(
+        fault::StopToken::now_plus(budget - snap->elapsed_seconds));
+    combined.engine.time_limit = 0;
+  }
 
   if (snap && snap->stage == Stage::kSweep) {
     // The engine chain already finished when this snapshot was taken:
@@ -185,12 +188,11 @@ CheckpointedResult checked_combined_check_miter(
     resume_state.pairs_disproved = snap->sweep_pairs_disproved;
     resume_state.pairs_undecided = snap->sweep_pairs_undecided;
     sp.resume = &resume_state;
-    if (budget > 0) {
-      const double rem = std::max(0.05, budget - snap->elapsed_seconds);
-      sp.time_limit =
-          sp.time_limit > 0 ? std::min(sp.time_limit, rem) : rem;
-    }
-    r.sweeper_time_limit = sp.time_limit;
+    // The same flow token the combined flow hands its fallback.
+    sp.stop = combined.engine.stop.child(sp.time_limit);
+    sp.time_limit = 0;
+    r.sweeper_time_limit =
+        sp.stop.bounded() ? sp.stop.remaining_seconds() : 0.0;
     const std::uint64_t fires_before = fault::fires_total();
     Timer sat_timer;
     sweep::SweepResult sr = sweep::sweep_miter(snap->miter, sp);

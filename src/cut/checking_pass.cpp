@@ -192,16 +192,14 @@ PassResult run_checking_pass(const aig::Aig& aig,
   buffer.reserve(params.buffer_capacity);
   std::size_t sim_memory = params.sim_params.memory_words;
 
-  const std::atomic<bool>* cancel = params.sim_params.cancel;
-  const fault::Deadline* deadline = params.sim_params.deadline;
+  const fault::StopToken& stop = params.sim_params.stop;
   for (std::uint32_t l = 1; l <= max_el; ++l) {
     // A pass over a deep miter can spend a long time in this loop; honour
-    // the engine's cancellation between levels (proofs found so far stay
-    // valid — the caller just sees fewer of them). The phase deadline is
-    // checked here too, but expiry keeps the proofs and tells the caller.
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
-      return result;
-    if (deadline != nullptr && deadline->expired()) {
+    // the stop token between levels (proofs found so far stay valid — the
+    // caller just sees fewer of them). A fired latch returns silently; an
+    // expired deadline keeps the proofs and tells the caller.
+    if (stop.cancelled()) return result;
+    if (stop.expired()) {
       result.stats.deadline_expired = true;
       return result;
     }

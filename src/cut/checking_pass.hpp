@@ -38,8 +38,8 @@ struct PassParams {
   unsigned max_cuts_per_pair = 8;
   /// Exhaustive-simulator settings for the local checks (CEX collection is
   /// disabled internally: local mismatches are inconclusive, not CEXs).
-  /// sim_params.deadline, when set, is also checked between enumeration
-  /// levels; expiry ends the pass early with its proofs intact.
+  /// sim_params.stop is also checked between enumeration levels; expiry
+  /// ends the pass early with its proofs intact.
   exhaustive::Params sim_params;
   /// Flush-ladder bounds (DESIGN.md §2.4): a flush whose exhaustive batch
   /// fails recoverably (OOM / ledger denial) retries with the simulator

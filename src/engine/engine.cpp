@@ -1,9 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <atomic>
-#include <chrono>
-#include <thread>
-
 #include <algorithm>
 
 #include "common/log.hpp"
@@ -59,43 +55,10 @@ void accumulate_attempt_stats(EngineStats& next, const EngineStats& prev) {
 EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
   Timer total;
 
-  // Watchdog: folds the optional wall-clock budget and the caller's
-  // cancellation flag into one flag polled by every phase checkpoint.
-  //
-  // Shared mutable state of this function (annotation audit): `stop` is
-  // written by the watchdog thread and read (relaxed) by the host thread
-  // and pool workers via effective.cancel — a monotonic latch, so relaxed
-  // order suffices and no lock is needed. `done` is the host-to-watchdog
-  // shutdown latch; the join() below provides the final happens-before
-  // edge, so everything the watchdog wrote is visible before finish()
-  // returns. `total` (Timer) is written once at construction and only
-  // read concurrently afterwards.
-  std::atomic<bool> stop{false};
-  std::atomic<bool> done{false};
-  // audit:exempt(dedicated watchdog thread: it must keep ticking while
-  // the pool is saturated by the job it supervises)
-  std::thread watchdog;
+  // One token for the whole run: the caller's latch and deadline plus
+  // time_limit from now. Every phase checkpoint polls it directly.
   EngineParams effective = params_;
-  if (params_.time_limit > 0 || params_.cancel != nullptr) {
-    effective.cancel = &stop;
-    // Seed the folded flag synchronously: if the caller cancelled before
-    // the call, no phase may run at all (the watchdog alone would leave a
-    // 20 ms window in which a fast miter could still be decided).
-    if (params_.cancel != nullptr &&
-        params_.cancel->load(std::memory_order_relaxed))
-      stop.store(true, std::memory_order_relaxed);
-    // audit:exempt(see watchdog declaration above)
-    watchdog = std::thread([&] {
-      while (!done.load(std::memory_order_relaxed)) {
-        if (params_.cancel != nullptr &&
-            params_.cancel->load(std::memory_order_relaxed))
-          stop.store(true, std::memory_order_relaxed);
-        if (params_.time_limit > 0 && total.seconds() > params_.time_limit)
-          stop.store(true, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    });
-  }
+  effective.stop = params_.stop.child(params_.time_limit);
 
   detail::EngineContext ctx{effective, std::move(miter), {}, {}, {},
                             false,     {},               params_.local_passes};
@@ -129,12 +92,10 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
 
   EngineResult result;
   auto finish = [&](Verdict verdict) {
-    done.store(true, std::memory_order_relaxed);
-    if (watchdog.joinable()) watchdog.join();
     ctx.stats.final_ands = ctx.miter.num_ands();
     ctx.stats.total_seconds = total.seconds();
     // Everything outside the three phase timers: simulation init, EC
-    // building, rebuilds, watchdog setup. Clamped at 0 against timer skew.
+    // building, rebuilds. Clamped at 0 against timer skew.
     ctx.stats.other_seconds = std::max(
         0.0, ctx.stats.total_seconds -
                  (ctx.stats.po_seconds + ctx.stats.global_seconds +
@@ -196,11 +157,8 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
   if (aig::miter_disproved(ctx.miter)) return finish(Verdict::kNotEquivalent);
   if (aig::miter_proved(ctx.miter)) return finish(Verdict::kEquivalent);
 
-  auto cancelled = [&] {
-    return ctx.params.cancel != nullptr &&
-           ctx.params.cancel->load(std::memory_order_relaxed);
-  };
-  if (cancelled()) return finish(Verdict::kUndecided);
+  auto stopped = [&] { return ctx.params.stop.stop_requested(); };
+  if (stopped()) return finish(Verdict::kUndecided);
 
   // Phase-boundary checkpoint offer (DESIGN.md §2.8): a transient view of
   // the host-thread state, handed to the caller's hook. Any exception the
@@ -231,7 +189,7 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
   }
   offer_checkpoint("P");
 
-  if (cancelled()) return finish(Verdict::kUndecided);
+  if (stopped()) return finish(Verdict::kUndecided);
 
   // --- G phase: global function checking. ---
   if (params_.enable_global_phase)
@@ -244,14 +202,14 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
   }
   offer_checkpoint("G");
 
-  if (cancelled()) return finish(Verdict::kUndecided);
+  if (stopped()) return finish(Verdict::kUndecided);
 
   // --- Repeated L phases, with graduated global-checking escalation. ---
   unsigned k_g_current = params_.k_g;
   for (;;) {
     bool progress = false;
     for (unsigned phase = 0; phase < params_.max_local_phases; ++phase) {
-      if (cancelled()) return finish(Verdict::kUndecided);
+      if (stopped()) return finish(Verdict::kUndecided);
       const bool reduced = detail::run_local_phase(ctx);
       ++ctx.stats.local_phases;
       if (ctx.disproved || aig::miter_disproved(ctx.miter))
@@ -261,7 +219,7 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
       progress |= reduced;
       if (!reduced) break;  // this L loop stalled
     }
-    if (cancelled()) return finish(Verdict::kUndecided);
+    if (stopped()) return finish(Verdict::kUndecided);
     // Escalation: raise the G threshold and retry globally. Note the loop
     // keeps iterating as long as *something* (L reduction, escalated G
     // proof) makes progress; it terminates because the AND count strictly

@@ -21,7 +21,6 @@
 /// (sweep::SatSweeper here, ABC &cec in the paper) can finish.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -132,21 +131,22 @@ struct EngineParams {
   /// Capture intermediate miters after the P and G phases (paper Fig. 7).
   bool capture_snapshots = false;
 
-  /// Cooperative cancellation (portfolio use): checked between phases,
-  /// between refinement iterations and between simulation rounds. When it
+  /// Stop token (DESIGN.md §2.4): a cancel latch and/or an absolute
+  /// deadline, checked between phases, between refinement iterations,
+  /// between simulation rounds and at every pool chunk claim. When it
   /// fires the engine returns kUndecided with the current reduced miter.
-  const std::atomic<bool>* cancel = nullptr;
+  fault::StopToken stop;
 
-  /// Wall-clock budget in seconds (0 = unbounded). Enforced through the
-  /// same cancellation checkpoints via an internal watchdog, so expiry
-  /// yields kUndecided with whatever reduction was achieved so far.
+  /// Wall-clock cap in seconds (0 = unbounded), applied once at entry as
+  /// stop.child(time_limit), so expiry yields kUndecided with whatever
+  /// reduction was achieved so far.
   double time_limit = 0;
 
   // --- Resource governor & degradation ladder (DESIGN.md §2.4). ---
   /// Per-phase wall-clock cap in seconds (0 = unbounded): each P/G/L
-  /// phase gets its own fresh deadline on entry, checked at the same
-  /// checkpoints as cancellation. Expiry routes the phase's remaining
-  /// work to the sound undecided path instead of cancelling the run.
+  /// phase polls the child token stop.child(phase_time_limit) taken on
+  /// entry. Its expiry routes the phase's remaining work to the sound
+  /// undecided path instead of cancelling the run.
   double phase_time_limit = 0;
   /// Process memory budget in bytes for the governed allocations
   /// (simulation tables; 0 = ungoverned). Ignored when memory_ledger is
@@ -259,8 +259,8 @@ namespace detail {
 /// only through the executor's data-parallel calls, whose bodies write
 /// disjoint indices; the executor's submission/retirement protocol
 /// provides the happens-before edges back to the host. The only cell read
-/// concurrently is params.cancel (an atomic polled by workers and written
-/// by the engine watchdog / portfolio — see SimCecEngine::check_miter).
+/// concurrently is the latch of params.stop (an atomic polled by workers
+/// and written by the caller, e.g. the portfolio).
 struct EngineContext {
   const EngineParams& params;
   aig::Aig miter;

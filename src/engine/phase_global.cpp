@@ -64,7 +64,7 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
 
   // Per-phase deadline (DESIGN.md §2.4): expiry finishes the phase early
   // with whatever was proved so far — the rest stays soundly undecided.
-  const fault::Deadline deadline = fault::Deadline::after(p.phase_time_limit);
+  const fault::StopToken phase_stop = p.stop.child(p.phase_time_limit);
   bool phase_expired = false;
 
   for (unsigned iter = 0; iter < p.max_global_iters && !phase_expired;
@@ -115,9 +115,8 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
     exhaustive::Params sim_params;
     sim_params.collect_cex = true;
     sim_params.max_cex = eligible.size();  // guarantee refinement splits
-    sim_params.cancel = p.cancel;
+    sim_params.stop = phase_stop;
     sim_params.obs = ctx.obs;
-    sim_params.deadline = &deadline;
 
     std::size_t proved = 0, disproved = 0;
     sim::CexCollector collector(miter.num_pis());

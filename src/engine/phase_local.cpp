@@ -101,18 +101,15 @@ bool run_local_phase(EngineContext& ctx) {
   }
   SIMSWEEP_LOG_INFO("L phase: %zu candidate pairs", tasks.size());
 
-  // Per-phase deadline (DESIGN.md §2.4): an expired pass keeps its proofs
-  // and the remaining passes of this phase are skipped.
-  const fault::Deadline deadline = fault::Deadline::after(p.phase_time_limit);
-
   cut::PassParams pass_params;
   pass_params.enum_params.cut_size = p.k_l;
   pass_params.enum_params.num_cuts = p.num_cuts;
   pass_params.buffer_capacity = p.cut_buffer_capacity;
   pass_params.max_cuts_per_pair = p.max_cuts_per_pair;
-  pass_params.sim_params.cancel = p.cancel;
+  // Per-phase deadline (DESIGN.md §2.4): an expired pass keeps its proofs
+  // and the remaining passes of this phase are skipped.
+  pass_params.sim_params.stop = p.stop.child(p.phase_time_limit);
   pass_params.sim_params.obs = ctx.obs;
-  pass_params.sim_params.deadline = &deadline;
   pass_params.sim_params.ledger = ctx.ledger;
   pass_params.max_fault_retries = p.max_fault_retries;
   pass_params.min_memory_words = p.min_memory_words;

@@ -65,16 +65,13 @@ bool run_po_phase(EngineContext& ctx) {
                        ms.windows_before, ms.windows_after);
   }
 
-  // Per-phase deadline (DESIGN.md §2.4): expiry routes the remaining POs
-  // to the undecided path instead of cancelling the run.
-  const fault::Deadline deadline = fault::Deadline::after(p.phase_time_limit);
-
   exhaustive::Params sim;
   sim.collect_cex = true;
   sim.max_cex = 1;  // the first PO disproof settles the whole problem
-  sim.cancel = p.cancel;
+  // Per-phase deadline (DESIGN.md §2.4): expiry routes the remaining POs
+  // to the undecided path instead of cancelling the run.
+  sim.stop = p.stop.child(p.phase_time_limit);
   sim.obs = ctx.obs;
-  sim.deadline = &deadline;
 
   aig::SubstitutionMap subst(miter.num_nodes());
   std::size_t proved = 0;

@@ -235,16 +235,17 @@ BatchResult check_batch(const aig::Aig& aig,
     }
     if (all_decided) state[wi].alive = false;  // skip remaining rounds
   };
-  const auto cancel_fired = [&] {
-    return params.cancel != nullptr &&
-           params.cancel->load(std::memory_order_relaxed);
+  // Workers poll the token; the host attributes the stop afterwards: a
+  // fired latch cancels the batch, an expired deadline is kDeadline (a
+  // deadline never un-expires).
+  const auto stopped = [&] {
+    if (params.stop.cancelled())
+      result.cancelled = true;
+    else
+      result.failure = BatchFailure::kDeadline;
+    publish();
+    return result;
   };
-  const auto deadline_expired = [&] {
-    return params.deadline != nullptr && params.deadline->expired();
-  };
-  // Workers poll this like cancellation; the host attributes the stop to
-  // cancel vs deadline afterwards (a deadline never un-expires).
-  const auto stop_fired = [&] { return cancel_fired() || deadline_expired(); };
 
   if (window_parallel) {
     // --- Window dimension: every worker sweeps whole windows serially
@@ -254,6 +255,7 @@ BatchResult check_batch(const aig::Aig& aig,
     std::vector<std::size_t> win_words(windows.size(), 0);
     parallel::parallel_for_chunks(
         0, windows.size(), [&](std::size_t lo, std::size_t hi) {
+          std::uint32_t polls = 0;
           for (std::size_t wi = lo; wi < hi; ++wi) {
             const Window& w = windows[wi];
             const std::size_t tt = state[wi].tt_words;
@@ -261,7 +263,11 @@ BatchResult check_batch(const aig::Aig& aig,
             const unsigned in = w.num_inputs();
             const std::size_t wrounds = (tt + E - 1) / E;
             for (std::size_t r = 0; r < wrounds && state[wi].alive; ++r) {
-              if (stop_fired()) return;  // abandon the chunk
+              // The latch every window-round, the clock every 16th: a
+              // small window's round costs little more than a clock read.
+              if (params.stop.cancelled() ||
+                  ((++polls & 15) == 0 && params.stop.expired()))
+                return;  // abandon the chunk
               const std::size_t nw = std::min(E, tt - r * E);
               project_window(w, base, r, nw);
               for (std::size_t ni = 0; ni < w.wnodes.size(); ++ni)
@@ -276,16 +282,7 @@ BatchResult check_batch(const aig::Aig& aig,
       result.words_simulated += win_words[wi];
       result.rounds = std::max<std::size_t>(result.rounds, win_rounds[wi]);
     }
-    if (cancel_fired()) {
-      result.cancelled = true;
-      publish();
-      return result;
-    }
-    if (deadline_expired()) {
-      result.failure = BatchFailure::kDeadline;
-      publish();
-      return result;
-    }
+    if (params.stop.stop_requested()) return stopped();
   } else {
     // --- Level-batch dimension (Alg. 1 lines 5-14): each round's kernel
     // sequence — input projection, level 1..L, root compare — is ONE
@@ -313,7 +310,7 @@ BatchResult check_batch(const aig::Aig& aig,
     // rebound. Stage bodies see the current round through the captured
     // references.
     parallel::StagePlan plan;
-    plan.set_cancel(params.cancel);
+    plan.set_stop(&params.stop);
     plan.stage_chunks(0, windows.size(),
                       [&](std::size_t lo, std::size_t hi) {
                         for (std::size_t wi = lo; wi < hi; ++wi) {
@@ -355,16 +352,7 @@ BatchResult check_batch(const aig::Aig& aig,
                       });
 
     for (std::size_t r = 0; r < rounds; ++r) {
-      if (cancel_fired()) {
-        result.cancelled = true;
-        publish();
-        return result;
-      }
-      if (deadline_expired()) {
-        result.failure = BatchFailure::kDeadline;
-        publish();
-        return result;
-      }
+      if (params.stop.stop_requested()) return stopped();
       // Windows needing simulation this round (Alg. 1 line 6).
       bool any_active = false;
       for (std::size_t wi = 0; wi < windows.size(); ++wi) {
@@ -378,11 +366,7 @@ BatchResult check_batch(const aig::Aig& aig,
         if (state[wi].alive)
           result.words_simulated +=
               windows[wi].nodes.size() * words_this_round(wi);
-      if (!pool.run_stages(plan)) {
-        result.cancelled = true;
-        publish();
-        return result;
-      }
+      if (!pool.run_stages(plan)) return stopped();
       ++result.rounds;
     }
   }

@@ -25,7 +25,6 @@
 ///    restrict-qualified kernels (common/word_kernels.hpp) — on a GPU
 ///    they would be the intra-warp thread dimension.
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -62,11 +61,12 @@ struct Params {
   bool collect_cex = true;
   /// Cap on collected CEXs per batch (one per item at most).
   std::size_t max_cex = 256;
-  /// Cooperative cancellation: checked between rounds AND between the
+  /// Stop token (DESIGN.md §2.4): checked between rounds AND between the
   /// fused stages / window-rounds inside a round, so even long
-  /// single-round batches cancel promptly. When it fires the batch returns
-  /// with `cancelled` set and its outcomes MUST be ignored.
-  const std::atomic<bool>* cancel = nullptr;
+  /// single-round batches stop promptly. A fired latch returns the batch
+  /// with `cancelled` set; an expired deadline returns
+  /// BatchFailure::kDeadline. Either way its outcomes MUST be ignored.
+  fault::StopToken stop;
   /// Parallelism-dimension choice (see Strategy).
   Strategy strategy = Strategy::kAuto;
   /// Optional metrics sink. When set, check_batch publishes its batch
@@ -79,9 +79,6 @@ struct Params {
   /// and a denied charge returns BatchFailure::kMemoryBudget instead of
   /// allocating past the process budget.
   fault::MemoryLedger* ledger = nullptr;
-  /// Optional phase deadline: checked where cancellation is checked (plus
-  /// between level-staged rounds); expiry returns BatchFailure::kDeadline.
-  const fault::Deadline* deadline = nullptr;
 };
 
 enum class ItemStatus : std::uint8_t {
@@ -104,7 +101,7 @@ enum class BatchFailure : std::uint8_t {
   kNone,          ///< batch completed; outcomes are valid
   kAlloc,         ///< simulation-table allocation threw bad_alloc
   kMemoryBudget,  ///< the memory ledger denied the table charge
-  kDeadline,      ///< the phase deadline expired mid-batch
+  kDeadline,      ///< the stop token's deadline expired mid-batch
 };
 
 struct BatchResult {
@@ -116,7 +113,8 @@ struct BatchResult {
   std::size_t rounds = 0;           ///< executed rounds
   std::size_t words_simulated = 0;  ///< Σ node-words computed
   bool window_parallel = false;     ///< dimension the batch actually used
-  /// True iff params.cancel fired mid-batch; outcomes are then invalid.
+  /// True iff params.stop's latch fired mid-batch; outcomes are then
+  /// invalid.
   bool cancelled = false;
   /// Set when the batch failed recoverably; outcomes are then invalid
   /// (empty) and the caller decides between retry and undecided.

@@ -1,6 +1,6 @@
 #pragma once
 /// \file governor.hpp
-/// \brief Resource governor primitives: memory ledger and phase deadlines
+/// \brief Resource governor primitives: memory ledger and the stop token
 /// (DESIGN.md §2.4).
 ///
 /// The exhaustive simulator's budget M (Alg. 1) bounds one batch; the
@@ -8,11 +8,12 @@
 /// (simulation tables, merged-window builds, cut buffers) is charged
 /// against one MemoryLedger before it happens, and a denied charge is a
 /// recoverable fault the degradation ladder answers by shrinking the
-/// unit and retrying — not an abort. Deadlines do the same for time:
-/// each engine phase gets its own wall-clock cap (in addition to the
-/// whole-engine `time_limit`), and expiry routes the phase's remaining
-/// work to the sound undecided path.
+/// unit and retrying — not an abort. StopToken does the same for time:
+/// each engine phase gets its own wall-clock cap (a child of the
+/// whole-run token), and expiry routes the phase's remaining work to the
+/// sound undecided path.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -121,39 +122,70 @@ class MemoryLease {
   bool ok_ = false;
 };
 
-/// A fixed wall-clock deadline on the steady clock. Immutable after
-/// construction; cheap to copy and to poll. The default-constructed
-/// deadline never expires.
-class Deadline {
+/// The one stop condition of every engine (DESIGN.md §2.4): an optional
+/// cancel latch plus an optional absolute steady-clock deadline. A plain
+/// value, cheap to copy and to poll; copies share the latch. The
+/// default-constructed token never stops.
+///
+/// Budgets chain as deadlines, never as seconds: a callee derives its
+/// own token with child(), which can only move the deadline earlier, so
+/// handing one token on (fallbacks, retries, resumed runs) can never
+/// restart the clock, and a spent budget stays expired.
+class StopToken {
  public:
-  Deadline() = default;
-  /// seconds <= 0 means unbounded.
-  static Deadline after(double seconds) {
-    Deadline d;
-    if (seconds > 0) {
-      d.bounded_ = true;
-      d.at_ = std::chrono::steady_clock::now() +
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(seconds));
-    }
-    return d;
+  using Clock = std::chrono::steady_clock;
+
+  StopToken() = default;
+  /// A token stopped by `latch` (may be null) and by no deadline.
+  explicit StopToken(const std::atomic<bool>* latch) : latch_(latch) {}
+
+  /// now + seconds; negative seconds give a time point in the past.
+  /// Clamped to +-1e9 s (~31 years) so the tick conversion cannot
+  /// overflow.
+  static Clock::time_point now_plus(double seconds) {
+    seconds = std::clamp(seconds, -1e9, 1e9);
+    return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(seconds));
   }
 
-  bool bounded() const { return bounded_; }
-  bool expired() const {
-    return bounded_ && std::chrono::steady_clock::now() >= at_;
+  /// This token, also stopped at the absolute time `at`: the earlier
+  /// deadline wins. A time already past gives an expired token.
+  StopToken until(Clock::time_point at) const {
+    StopToken t = *this;
+    if (!t.bounded_ || at < t.at_) {
+      t.bounded_ = true;
+      t.at_ = at;
+    }
+    return t;
   }
+
+  /// The relative cap `seconds` applied from now: the earlier of this
+  /// token's deadline and now + seconds. seconds <= 0 adds no limit.
+  StopToken child(double seconds) const {
+    return seconds > 0 ? until(now_plus(seconds)) : *this;
+  }
+
+  /// The latch fired (someone asked to stop).
+  bool cancelled() const {
+    return latch_ != nullptr && latch_->load(std::memory_order_relaxed);
+  }
+  /// The deadline passed (time ran out).
+  bool expired() const { return bounded_ && Clock::now() >= at_; }
+  bool stop_requested() const { return cancelled() || expired(); }
+
+  bool bounded() const { return bounded_; }
   /// Seconds left; +inf when unbounded, clamped at 0 when expired.
   double remaining_seconds() const {
     if (!bounded_) return std::numeric_limits<double>::infinity();
-    const auto left = at_ - std::chrono::steady_clock::now();
-    const double s = std::chrono::duration<double>(left).count();
+    const double s =
+        std::chrono::duration<double>(at_ - Clock::now()).count();
     return s > 0 ? s : 0.0;
   }
 
  private:
+  const std::atomic<bool>* latch_ = nullptr;
   bool bounded_ = false;
-  std::chrono::steady_clock::time_point at_{};
+  Clock::time_point at_{};
 };
 
 }  // namespace simsweep::fault

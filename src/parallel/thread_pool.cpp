@@ -113,40 +113,39 @@ ThreadPool& ThreadPool::global() {
 }
 
 bool ThreadPool::run_stages(const StagePlan& plan) {
-  const auto* cancel = plan.cancel_;
-  if (plan.stages_.empty())
-    return !(cancel != nullptr && cancel->load(std::memory_order_relaxed));
+  const fault::StopToken* stop = plan.stop_;
+  if (plan.stages_.empty()) return !(stop != nullptr && stop->stop_requested());
   std::vector<StageRef> refs;
   refs.reserve(plan.stages_.size());
   for (const auto& s : plan.stages_)
     refs.push_back(StageRef{s.begin, s.end, &s.block});
-  return execute(refs.data(), refs.size(), cancel, plan.granular_);
+  return execute(refs.data(), refs.size(), stop, plan.granular_);
 }
 
 bool ThreadPool::execute(const StageRef* stages, std::size_t n,
-                         const std::atomic<bool>* cancel, bool granular) {
-  const auto cancelled = [cancel] {
-    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+                         const fault::StopToken* stop, bool granular) {
+  const auto stopped = [stop] {
+    return stop != nullptr && stop->stop_requested();
   };
   std::size_t total = 0;
   for (std::size_t i = 0; i < n; ++i)
     if (stages[i].begin < stages[i].end) total += stages[i].end - stages[i].begin;
   // Inline path: no workers, or too little work to amortize a launch. The
-  // cancellation flag is still honoured between stages. Granular launches
+  // stop token is still honoured between stages. Granular launches
   // skip the amortization heuristic (their items are long-running bodies,
   // not loop iterations) but still run inline on a workerless pool.
   if (workers_.empty() || (!granular && total < 2 * concurrency())) {
     inline_jobs_.fetch_add(1, std::memory_order_relaxed);
     for (std::size_t i = 0; i < n; ++i) {
-      if (cancelled()) return false;
+      if (stopped()) return false;
       if (stages[i].begin < stages[i].end)
         (*stages[i].block)(stages[i].begin, stages[i].end);
     }
-    return !cancelled();
+    return !stopped();
   }
 
   common::RankedMutexLock submit(submit_mutex_, common::lock_ranks::pool);
-  if (cancelled()) return false;
+  if (stopped()) return false;
 
   // Stage slots may be (re)allocated here: quiescence is guaranteed — the
   // previous job's submitter only returned once active_ hit 0.
@@ -178,7 +177,7 @@ bool ThreadPool::execute(const StageRef* stages, std::size_t n,
 #endif
   }
   num_stages_ = n;
-  cancel_ = cancel;
+  stop_token_ = stop;
   jobs_.fetch_add(1, std::memory_order_relaxed);
   stages_submitted_.fetch_add(n, std::memory_order_relaxed);
   std::uint32_t first = 0;
@@ -204,7 +203,7 @@ bool ThreadPool::execute(const StageRef* stages, std::size_t n,
               std::chrono::steady_clock::now() - job_start)
               .count()),
       std::memory_order_relaxed);
-  return !cancelled();
+  return !stopped();
 }
 
 void ThreadPool::run_job(std::uint32_t epoch, std::size_t stat_slot) {
@@ -229,7 +228,9 @@ void ThreadPool::run_job(std::uint32_t epoch, std::size_t stat_slot) {
 #ifdef SIMSWEEP_CHECKED
     checked_claim(epoch, s, lo, hi);
 #endif
-    if (!(cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)))
+    // The latch at every chunk claim; the deadline (a clock read) only
+    // at stage barriers.
+    if (!(stop_token_ != nullptr && stop_token_->cancelled()))
       (*slot.block)(lo, hi);
     const std::size_t items = hi - lo;
     // Retiring the last chunk of a stage opens the next stage: this store
@@ -248,7 +249,7 @@ void ThreadPool::advance_stage(std::uint32_t epoch, std::uint32_t s) {
   checked_open(epoch, s);
 #endif
   std::uint32_t next = s + 1;
-  if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed))
+  if (stop_token_ != nullptr && stop_token_->stop_requested())
     next = static_cast<std::uint32_t>(num_stages_);  // skip remaining stages
   while (next < num_stages_ && slots_[next].begin >= slots_[next].end)
     ++next;

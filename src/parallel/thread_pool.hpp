@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "fault/governor.hpp"
 
 namespace simsweep::obs {
 class Registry;
@@ -104,9 +105,9 @@ void checked_inject_fault_for_test(CheckedFault fault);
 /// A plan only references its bodies, so it can be built once and re-run
 /// many times (e.g. once per simulation round with the round number
 /// captured by reference); it must outlive every run_stages() call using
-/// it. An optional cancellation flag is checked at every chunk claim and
-/// stage barrier: once it fires, remaining work is skipped and the run
-/// reports cancellation.
+/// it. An optional stop token is checked at every stage barrier (its
+/// latch also at every chunk claim): once it fires, remaining work is
+/// skipped and the run reports the stop.
 class StagePlan {
  public:
   /// Appends a stage running body(i) for every i in [begin, end).
@@ -125,8 +126,9 @@ class StagePlan {
     stages_.push_back({begin, end, std::move(body)});
   }
 
-  /// Cooperative cancellation for the whole plan (may be nullptr).
-  void set_cancel(const std::atomic<bool>* cancel) { cancel_ = cancel; }
+  /// Stop token for the whole plan (may be nullptr; must outlive every
+  /// run_stages() call using the plan).
+  void set_stop(const fault::StopToken* stop) { stop_ = stop; }
 
   /// Granular launch: every index is its own chunk and the launch is
   /// distributed even when the index space is tiny. For stages whose
@@ -148,7 +150,7 @@ class StagePlan {
     BlockFn block;
   };
   std::vector<PlanStage> stages_;
-  const std::atomic<bool>* cancel_ = nullptr;
+  const fault::StopToken* stop_ = nullptr;
   bool granular_ = false;
 };
 
@@ -208,8 +210,8 @@ class ThreadPool {
   }
 
   /// Executes every stage of the plan in order with internal barriers.
-  /// Returns false iff the plan's cancellation flag fired (some work was
-  /// then skipped and the caller must discard partial results).
+  /// Returns false iff the plan's stop token fired (some work was then
+  /// skipped and the caller must discard partial results).
   bool run_stages(const StagePlan& plan);
 
   /// Lifetime utilization totals (jobs, stages, chunk claims, per-worker
@@ -262,7 +264,7 @@ class ThreadPool {
   }
 
   bool execute(const StageRef* stages, std::size_t n,
-               const std::atomic<bool>* cancel, bool granular = false)
+               const fault::StopToken* stop, bool granular = false)
       SIMSWEEP_EXCLUDES(submit_mutex_);
   /// `stat_slot` selects the per-thread utilization cell chunk claims are
   /// charged to: 0 for submitting threads, i+1 for worker i.
@@ -302,7 +304,7 @@ class ThreadPool {
   std::unique_ptr<StageSlot[]> slots_ SIMSWEEP_GUARDED_BY(submit_mutex_);
   std::size_t slot_capacity_ SIMSWEEP_GUARDED_BY(submit_mutex_) = 0;
   std::size_t num_stages_ SIMSWEEP_GUARDED_BY(submit_mutex_) = 0;
-  const std::atomic<bool>* cancel_ SIMSWEEP_GUARDED_BY(submit_mutex_) =
+  const fault::StopToken* stop_token_ SIMSWEEP_GUARDED_BY(submit_mutex_) =
       nullptr;
   std::uint32_t epoch_ SIMSWEEP_GUARDED_BY(submit_mutex_) = 0;
 

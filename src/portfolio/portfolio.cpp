@@ -1,6 +1,5 @@
 #include "portfolio/portfolio.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -39,8 +38,8 @@ class VerdictBox {
     cancel_.store(true, std::memory_order_relaxed);
   }
 
-  /// The flag engines poll cooperatively (EngineParams::cancel et al.).
-  const std::atomic<bool>* cancel_flag() const { return &cancel_; }
+  /// The latch every arm's stop token polls.
+  const std::atomic<bool>* latch() const { return &cancel_; }
 
   /// Moves the result out. Must only be called after every engine thread
   /// joined (no concurrent deliver can be in flight).
@@ -111,21 +110,15 @@ CombinedResult combined_check_miter(const aig::Aig& miter,
   engine_params.registry = &registry;
 
   // engine.time_limit is the wall-clock budget of the WHOLE combined
-  // flow: rewriting-interleaved re-runs and the SAT fallback spend what
-  // is *left* of it, they do not restart the clock. (Before this fix the
-  // full budget was handed to every attempt again, so a combined run
-  // could take attempts+1 times its nominal limit.) 0 = unbounded.
-  //
-  // remaining() reports the TRUE remainder, floored at zero. It used to
-  // floor at 0.05 s, which turned an exhausted budget into a 50 ms grant
-  // for every interleaved-rewriting round and the SAT fallback — up to
-  // max_rewrite_rounds+1 extra attempts past the deadline. A spent
-  // budget now short-circuits the rewrite loop and skips the sweeper
-  // (the zero-remainder timeout path) instead of dribbling slices.
-  const double budget = params.engine.time_limit;
-  auto remaining = [&]() -> double {
-    return budget > 0 ? std::max(0.0, budget - total.seconds()) : 0.0;
-  };
+  // flow: one absolute deadline, taken here, that every engine attempt
+  // (rewriting-interleaved re-runs included) and the SAT fallback share.
+  // No attempt restarts the clock, and a spent budget stops the rewrite
+  // loop and skips the sweeper instead of granting them slices past the
+  // deadline.
+  const fault::StopToken stop =
+      params.engine.stop.child(params.engine.time_limit);
+  engine_params.stop = stop;
+  engine_params.time_limit = 0;  // already in `stop`
 
   // engine.attempts counts every engine entry of the combined flow (the
   // first run plus each rewriting-interleaved re-run), so budget tests
@@ -141,16 +134,13 @@ CombinedResult combined_check_miter(const aig::Aig& miter,
   for (unsigned round = 0;
        params.interleave_rewriting && round < params.max_rewrite_rounds &&
        er.verdict == Verdict::kUndecided && er.reduced.num_ands() > 0 &&
-       (budget <= 0 || remaining() > 0);
+       !stop.stop_requested();
        ++round) {
     aig::Aig rewritten = opt::resyn_light(er.reduced);
     SIMSWEEP_LOG_INFO("interleaved rewriting: %zu -> %zu ANDs",
                       er.reduced.num_ands(), rewritten.num_ands());
-    engine::EngineParams round_params = engine_params;
-    round_params.time_limit = remaining();
     registry.add(obs::metric::kEngineAttempts, 1);
-    const engine::SimCecEngine round_eng(round_params);
-    engine::EngineResult next = round_eng.check_miter(std::move(rewritten));
+    engine::EngineResult next = eng.check_miter(std::move(rewritten));
     engine::accumulate_attempt_stats(next.stats, er.stats);
     er = std::move(next);
   }
@@ -164,22 +154,16 @@ CombinedResult combined_check_miter(const aig::Aig& miter,
   result.verdict = er.verdict;
   result.cex = std::move(er.cex);
 
-  if (er.verdict == Verdict::kUndecided &&
-      (budget <= 0 || remaining() > 0)) {
+  if (er.verdict == Verdict::kUndecided && !stop.stop_requested()) {
     result.used_sat = true;
     sweep::SweeperParams sweeper_params = params.sweeper;
-    // Deadline plumbing: the fallback gets the remaining combined budget
-    // (clamped against any caller-set sweeper limit), not the full engine
-    // budget over again. The microsecond floor only guards the instant
-    // where the budget ran out between the entry check above and here —
-    // time_limit 0 would mean "unbounded" to the sweeper.
-    if (budget > 0) {
-      const double rem = std::max(1e-6, remaining());
-      sweeper_params.time_limit = sweeper_params.time_limit > 0
-                                      ? std::min(sweeper_params.time_limit, rem)
-                                      : rem;
-    }
-    result.sweeper_time_limit = sweeper_params.time_limit;
+    // The fallback runs under the flow's token, capped by the caller's
+    // sweeper.time_limit: it spends what is left of the flow deadline.
+    sweeper_params.stop = stop.child(sweeper_params.time_limit);
+    sweeper_params.time_limit = 0;
+    result.sweeper_time_limit = sweeper_params.stop.bounded()
+                                    ? sweeper_params.stop.remaining_seconds()
+                                    : 0.0;
     if (params.transfer_ec && er.bank &&
         er.bank->num_pis() == er.reduced.num_pis())
       sweeper_params.initial_bank = &*er.bank;
@@ -210,7 +194,9 @@ PortfolioResult portfolio_check_miter(const aig::Aig& miter,
                                       const PortfolioParams& params) {
   Timer total;
   VerdictBox box;
-  const std::atomic<bool>* cancel = box.cancel_flag();
+  // Every arm runs under the box's latch (its own time_limit still
+  // applies at its entry): the first decisive verdict stops the others.
+  const fault::StopToken race(box.latch());
 
   // audit:exempt(portfolio engine race: each engine owns a dedicated
   // thread for its whole run; pool chunking cannot express that)
@@ -218,8 +204,7 @@ PortfolioResult portfolio_check_miter(const aig::Aig& miter,
   if (params.run_combined) {
     threads.emplace_back([&] {
       CombinedParams cp = params.combined;
-      cp.engine.cancel = cancel;
-      cp.sweeper.cancel = cancel;
+      cp.engine.stop = race;
       CombinedResult r = combined_check_miter(miter, cp);
       box.deliver(r.verdict, std::move(r.cex), "sim+sat", total.seconds());
     });
@@ -227,7 +212,7 @@ PortfolioResult portfolio_check_miter(const aig::Aig& miter,
   if (params.run_sat) {
     threads.emplace_back([&] {
       sweep::SweeperParams sp = params.sweeper;
-      sp.cancel = cancel;
+      sp.stop = race;
       sweep::SweepResult r = sweep::sweep_miter(miter, sp);
       box.deliver(r.verdict, std::move(r.cex), "sat", total.seconds());
     });
@@ -235,7 +220,7 @@ PortfolioResult portfolio_check_miter(const aig::Aig& miter,
   if (params.run_bdd) {
     threads.emplace_back([&] {
       bdd::BddCecParams bp = params.bdd;
-      bp.cancel = cancel;
+      bp.stop = race;
       bdd::BddCecResult r = bdd::bdd_check_miter(miter, bp);
       box.deliver(r.verdict, std::move(r.cex), "bdd", total.seconds());
     });
@@ -243,7 +228,7 @@ PortfolioResult portfolio_check_miter(const aig::Aig& miter,
   if (params.run_bdd_sweep) {
     threads.emplace_back([&] {
       bdd::BddSweepParams bp = params.bdd_sweep;
-      bp.cancel = cancel;
+      bp.stop = race;
       bdd::BddSweepResult r = bdd::bdd_sweep_miter(miter, bp);
       box.deliver(r.verdict, std::move(r.cex), "bdd-sweep", total.seconds());
     });

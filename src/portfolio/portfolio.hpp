@@ -32,6 +32,10 @@ namespace simsweep::portfolio {
 // ---------------------------------------------------------------------------
 
 struct CombinedParams {
+  /// engine.stop and engine.time_limit govern the WHOLE flow: every
+  /// engine attempt and the SAT fallback share that one deadline.
+  /// sweeper.stop is not consulted; sweeper.time_limit still caps the
+  /// fallback.
   engine::EngineParams engine;
   sweep::SweeperParams sweeper;
   /// §V EC-transfer extension: hand the engine's pattern bank (random +
@@ -58,11 +62,11 @@ struct CombinedResult {
   sweep::SweeperStats sweeper_stats;
   double engine_seconds = 0;  ///< "GPU (s)" column analogue
   double sat_seconds = 0;     ///< "ABC (s)" column analogue
-  /// Effective wall-clock limit handed to the SAT-sweeper fallback: the
-  /// caller's sweeper.time_limit clamped to the combined budget that
-  /// remained after the engine attempts (engine.time_limit is the budget
-  /// for the WHOLE combined flow, not per attempt). 0 when unbounded or
-  /// when the sweeper was never entered.
+  /// Seconds left on the SAT-sweeper fallback's token when it was
+  /// entered: the caller's sweeper.time_limit capped by what remained of
+  /// the flow deadline (engine.time_limit is the budget for the WHOLE
+  /// combined flow, not per attempt). 0 when unbounded or when the
+  /// sweeper was never entered.
   double sweeper_time_limit = 0;
   double total_seconds = 0;
   double reduction_percent = 0;  ///< "Reduced (%)" column analogue
@@ -92,6 +96,8 @@ inline CombinedResult combined_check(const aig::Aig& a, const aig::Aig& b,
 // Portfolio checker (commercial multi-engine stand-in).
 // ---------------------------------------------------------------------------
 
+/// Each arm's stop token is replaced by the race's latch; each arm's
+/// time_limit still applies from its entry.
 struct PortfolioParams {
   CombinedParams combined;
   sweep::SweeperParams sweeper;

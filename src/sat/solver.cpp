@@ -329,7 +329,8 @@ Solver::Result Solver::search(std::int64_t conflict_budget,
         cancel_until(0);
         return Result::kUnknown;
       }
-      if ((conflicts_this_call & 0xFF) == 0 && interrupt && interrupt()) {
+      if ((conflicts_this_call & 0xFF) == 0 && stop != nullptr &&
+          stop->stop_requested()) {
         cancel_until(0);
         return Result::kUnknown;
       }

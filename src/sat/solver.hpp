@@ -10,8 +10,9 @@
 /// assumptions, and conflict budgets (the `-C` knob of ABC's checker).
 
 #include <cstdint>
-#include <functional>
 #include <vector>
+
+#include "fault/governor.hpp"
 
 namespace simsweep::sat {
 
@@ -74,11 +75,11 @@ class Solver {
   /// Whether the clause database is already unsatisfiable at level 0.
   bool inconsistent() const { return !ok_; }
 
-  /// Optional interrupt hook, polled every few hundred conflicts during
-  /// search; returning true aborts the current solve() with kUnknown.
-  /// Lets callers enforce wall-clock budgets that a single long SAT call
-  /// would otherwise overshoot.
-  std::function<bool()> interrupt;
+  /// Optional stop token, polled every 256 conflicts during search; when
+  /// it fires the current solve() returns kUnknown. Lets callers enforce
+  /// wall-clock budgets that a single long SAT call would otherwise
+  /// overshoot. Must outlive every solve() call while set.
+  const fault::StopToken* stop = nullptr;
 
   // Statistics.
   std::uint64_t conflicts = 0;

@@ -87,6 +87,7 @@ std::size_t CecService::submit_locked(JobSpec&& spec) {
   if (job->spec.id.empty()) job->spec.id = "job" + std::to_string(ticket);
   job->result.id = job->spec.id;
   job->queued_timer.reset();
+  job->stop = job->spec.params.engine.stop.child(job->spec.deadline_seconds);
   jobs_.push_back(std::move(job));
   queue_.push_back(ticket);
   queued_peak_ = std::max(queued_peak_, queue_.size());
@@ -205,9 +206,7 @@ CecService::Step CecService::dispatch_one() {
 
     // A deadline that expired while queued completes the job unrun: the
     // sound kUndecided path, never a partial run against zero budget.
-    expired = candidate.spec.deadline_seconds > 0 &&
-              candidate.queued_timer.seconds() >=
-                  candidate.spec.deadline_seconds;
+    expired = candidate.stop.expired();
 
     if (!expired) {
       // Admission control against the shared ledger. Injection site
@@ -281,21 +280,14 @@ void CecService::run_job(Job& job, std::uint64_t stake) {
     portfolio::CombinedParams combined = job.spec.params;
     combined.engine.memory_ledger = &ledger_;
     combined.sweeper.pool = &sweep_pool_;
-    if (job.spec.deadline_seconds > 0) {
-      // Queue wait already spent part of the job budget; the combined
-      // flow gets the remainder (satellite fix in portfolio.cpp: an
-      // exhausted remainder short-circuits instead of dribbling).
-      const double rem = std::max(
-          1e-3, job.spec.deadline_seconds - res.queue_seconds);
-      combined.engine.time_limit =
-          combined.engine.time_limit > 0
-              ? std::min(combined.engine.time_limit, rem)
-              : rem;
-    }
+    // Queue wait already spent part of the job budget: the flow runs
+    // under the deadline taken at submit (engine.time_limit still caps
+    // it from here).
+    combined.engine.stop = job.stop;
 
     // Cache key: the ckpt run fingerprint — miter structure plus every
     // verdict-relevant parameter (DESIGN.md §2.9 contract). Note the
-    // deadline-derived time_limit above is NOT part of the fingerprint:
+    // job deadline above is NOT part of the fingerprint:
     // budgets decide WHETHER a run decides, never WHICH decisive verdict
     // it reaches, and only decisive verdicts are cached.
     fp = ckpt::run_fingerprint(miter, combined);

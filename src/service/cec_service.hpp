@@ -80,9 +80,9 @@ struct JobSpec {
   /// else is the caller's.
   portfolio::CombinedParams params;
   /// Whole-job wall-clock budget in seconds, INCLUDING queue wait; 0 =
-  /// none. A job whose deadline expires while queued is completed as
-  /// kUndecided without running; one dispatched in time hands the
-  /// remaining slice to the combined flow as engine.time_limit.
+  /// none. Taken as an absolute deadline at submit. A job whose deadline
+  /// expires while queued is completed as kUndecided without running;
+  /// one dispatched in time runs the combined flow under that deadline.
   double deadline_seconds = 0;
   /// Higher runs earlier; FIFO within equal priorities.
   int priority = 0;
@@ -160,7 +160,9 @@ class CecService {
   struct Job {
     JobSpec spec;
     JobResult result;
-    Timer queued_timer;  ///< started at submit; queue wait + deadline base
+    Timer queued_timer;  ///< started at submit; measures the queue wait
+    /// params.engine.stop plus the job deadline, taken at submit.
+    fault::StopToken stop;
     bool done = false;
   };
   struct CacheEntry {

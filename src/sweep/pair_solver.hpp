@@ -14,7 +14,6 @@
 /// second directional solve is charged only what the first one left.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -63,10 +62,8 @@ class PairSolver {
   /// miter. PIs constrained by nothing default to 0.
   std::vector<bool> model_cex() const;
 
-  /// Interrupt hook forwarded to the solver (deadline / cancellation).
-  void set_interrupt(std::function<bool()> fn) {
-    solver_.interrupt = std::move(fn);
-  }
+  /// Stop token forwarded to the solver (must outlive its solve calls).
+  void set_interrupt(const fault::StopToken* stop) { solver_.stop = stop; }
 
   std::uint64_t conflicts() const { return solver_.conflicts; }
   bool inconsistent() const { return solver_.inconsistent(); }

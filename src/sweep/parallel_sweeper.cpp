@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "common/log.hpp"
+#include "common/timer.hpp"
 #include "fault/fault.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sweep/sweep_driver.hpp"
@@ -17,8 +18,8 @@ namespace {
 class ShardedChunks final : public detail::RoundStrategy {
  public:
   ShardedChunks(const aig::Aig& miter, const SweeperParams& params,
-                const detail::SweepDeadline& deadline)
-      : miter_(miter), params_(params), deadline_(deadline) {
+                const fault::StopToken& stop)
+      : miter_(miter), params_(params), stop_(stop) {
     // Injection site `sweep.shard_alloc` (DESIGN.md §2.4): the shard
     // state is the parallel path's first commitment of memory; under
     // pressure it fails here, before any thread is spawned.
@@ -59,7 +60,7 @@ class ShardedChunks final : public detail::RoundStrategy {
     plan.stage(0, num_shards, [&](std::size_t s) {
       const Timer shard_t;
       ShardStats& acc = stats.shard[s];  // single writer: shard s
-      while (!deadline_.expired()) {
+      while (!stop_.stop_requested()) {
         const std::size_t c = ticket.fetch_add(1, std::memory_order_relaxed);
         if (c >= num_chunks) break;
         ++acc.chunks;
@@ -69,8 +70,8 @@ class ShardedChunks final : public detail::RoundStrategy {
         try {
           aig::SubstitutionMap local = subst;
           PairSolver ps(miter_, &local);
-          ps.set_interrupt([this] { return deadline_.expired(); });
-          detail::check_pairs(miter_, params_, deadline_, ps, &local,
+          ps.set_interrupt(&stop_);
+          detail::check_pairs(miter_, params_, stop_, ps, &local,
                               supports_ ? &*supports_ : nullptr,
                               std::span(pairs).subspan(first, n),
                               std::span(outcomes).subspan(first, n));
@@ -109,38 +110,40 @@ class ShardedChunks final : public detail::RoundStrategy {
  private:
   const aig::Aig& miter_;
   const SweeperParams& params_;
-  const detail::SweepDeadline& deadline_;
+  const fault::StopToken& stop_;
   std::optional<parallel::ThreadPool> private_pool_;
   std::optional<aig::SupportInfo> supports_;
 };
 
 SweepResult sweep_sharded(const aig::Aig& miter, const SweeperParams& params,
-                          const detail::SweepDeadline& deadline) {
-  ShardedChunks strategy(miter, params, deadline);
-  return detail::run_sweep(miter, params, deadline, strategy);
+                          const fault::StopToken& stop) {
+  ShardedChunks strategy(miter, params, stop);
+  return detail::run_sweep(miter, params, stop, strategy);
 }
 
 }  // namespace
 
 SweepResult ParallelSatSweeper::check_miter(const aig::Aig& miter) const {
-  return sweep_sharded(miter, params_, detail::SweepDeadline(params_));
+  return sweep_sharded(miter, params_, params_.stop.child(params_.time_limit));
 }
 
 SweepResult sweep_miter(const aig::Aig& miter, const SweeperParams& params) {
   // One deadline for the whole call: a fallback spends only what the
   // failed sharded attempt left of the budget.
-  const detail::SweepDeadline deadline(params);
+  const Timer clock;
+  const fault::StopToken stop = params.stop.child(params.time_limit);
   if (params.num_threads <= 1)
-    return detail::sweep_persistent(miter, params, deadline);
+    return detail::sweep_persistent(miter, params, stop);
   try {
-    return sweep_sharded(miter, params, deadline);
+    return sweep_sharded(miter, params, stop);
   } catch (const std::bad_alloc&) {
     SIMSWEEP_LOG_WARN("parallel sweep failed (bad_alloc); going sequential");
   } catch (const fault::FaultError& e) {
     SIMSWEEP_LOG_WARN("parallel sweep failed (%s); going sequential", e.what());
   }
-  SweepResult r = detail::sweep_persistent(miter, params, deadline);
+  SweepResult r = detail::sweep_persistent(miter, params, stop);
   r.stats.parallel_fallbacks = 1;
+  r.stats.seconds = clock.seconds();  // both attempts
   return r;
 }
 

@@ -13,7 +13,6 @@
 /// sweep round driver (sweep_driver.hpp) with its persistent-core
 /// strategy: a single long-lived solver checks every pair.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -23,6 +22,7 @@
 #include "aig/aig.hpp"
 #include "aig/miter.hpp"
 #include "common/verdict.hpp"
+#include "fault/governor.hpp"
 #include "sim/partial_sim.hpp"
 
 namespace simsweep::parallel {
@@ -116,8 +116,8 @@ struct SweeperParams {
   std::int64_t conflict_limit = 100000;
   unsigned max_rounds = 16;        ///< sweep/refine rounds
   std::size_t max_pattern_words = 64;
-  /// Wall-clock budget in seconds; 0 = unbounded. On expiry the checker
-  /// returns kUndecided (used by the portfolio).
+  /// Wall-clock cap in seconds; 0 = unbounded. Applied once at entry as
+  /// stop.child(time_limit); on expiry the checker returns kUndecided.
   double time_limit = 0;
   /// Shard count of the parallel sweeper (sweep_miter() dispatcher;
   /// DESIGN.md §2.5). 1 selects the sequential SatSweeper.
@@ -143,11 +143,11 @@ struct SweeperParams {
   /// spawning its own threads and oversubscribing the host. Caller keeps
   /// the pool alive for the duration of the check.
   parallel::ThreadPool* pool = nullptr;
-  /// Cooperative cancellation (portfolio use): checked between SAT calls.
-  /// Annotation audit: the only cross-thread cell of a sweep — written by
-  /// the portfolio/watchdog, read relaxed here; all other sweeper state
-  /// is owned by the calling thread.
-  const std::atomic<bool>* cancel = nullptr;
+  /// Stop token (DESIGN.md §2.4): checked before every pair and every
+  /// 256 conflicts inside a SAT call. Annotation audit: its latch is the
+  /// only cross-thread cell of a sweep — written by the portfolio, read
+  /// relaxed here; all other sweeper state is owned by the calling thread.
+  fault::StopToken stop;
   /// Optional PI pattern bank used to initialize the equivalence classes
   /// (appended to the random patterns). Feeding the engine's bank here
   /// implements the paper's §V "EC transferring from GPU to ABC": pairs

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "common/log.hpp"
+#include "common/timer.hpp"
 
 namespace simsweep::sweep::detail {
 namespace {
@@ -63,16 +64,16 @@ PairOutcome simulate_pair(const aig::Aig& miter, aig::Lit lr, aig::Lit ln,
 class PersistentCore final : public RoundStrategy {
  public:
   PersistentCore(const aig::Aig& miter, const SweeperParams& params,
-                 const SweepDeadline& deadline)
-      : miter_(miter), params_(params), deadline_(deadline), core_(miter) {
-    core_.set_interrupt([&deadline] { return deadline.expired(); });
+                 const fault::StopToken& stop)
+      : miter_(miter), params_(params), stop_(stop), core_(miter) {
+    core_.set_interrupt(&stop);
   }
 
   std::vector<PairOutcome> check_round(
       const std::vector<sim::CandidatePair>& pairs,
       const aig::SubstitutionMap& /*subst*/, SweeperStats& stats) override {
     std::vector<PairOutcome> outcomes(pairs.size());
-    outcomes.resize(check_pairs(miter_, params_, deadline_, core_, nullptr,
+    outcomes.resize(check_pairs(miter_, params_, stop_, core_, nullptr,
                                 nullptr, pairs, outcomes));
     core_.charge(stats);
     return outcomes;
@@ -83,20 +84,20 @@ class PersistentCore final : public RoundStrategy {
  private:
   const aig::Aig& miter_;
   const SweeperParams& params_;
-  const SweepDeadline& deadline_;
+  const fault::StopToken& stop_;
   PairSolver core_;
 };
 
 }  // namespace
 
 std::size_t check_pairs(const aig::Aig& miter, const SweeperParams& params,
-                        const SweepDeadline& deadline, PairSolver& ps,
+                        const fault::StopToken& stop, PairSolver& ps,
                         aig::SubstitutionMap* local,
                         const aig::SupportInfo* supports,
                         std::span<const sim::CandidatePair> pairs,
                         std::span<PairOutcome> outcomes) {
   std::size_t checked = 0;
-  while (checked < pairs.size() && !deadline.expired()) {
+  while (checked < pairs.size() && !stop.stop_requested()) {
     const sim::CandidatePair& pair = pairs[checked];
     PairOutcome& o = outcomes[checked++];
     const aig::Lit lr = aig::make_lit(pair.repr, pair.phase);
@@ -127,12 +128,13 @@ std::size_t check_pairs(const aig::Aig& miter, const SweeperParams& params,
 }
 
 SweepResult run_sweep(const aig::Aig& miter, const SweeperParams& params,
-                      const SweepDeadline& deadline, RoundStrategy& strategy) {
+                      const fault::StopToken& stop, RoundStrategy& strategy) {
+  const Timer clock;
   SweepResult result;
   SweeperStats& stats = result.stats;
   auto finish = [&](Verdict v) {
     result.verdict = v;
-    stats.seconds = deadline.clock.seconds();
+    stats.seconds = clock.seconds();
     return result;
   };
 
@@ -175,7 +177,7 @@ SweepResult run_sweep(const aig::Aig& miter, const SweeperParams& params,
   for (unsigned round = start_round; round < params.max_rounds; ++round) {
     std::vector<sim::CandidatePair> pairs = ec.candidate_pairs();
     if (pairs.empty()) break;
-    if (deadline.expired()) return finish(Verdict::kUndecided);
+    if (stop.stop_requested()) return finish(Verdict::kUndecided);
     // Topological (ascending node id) order: proofs of small cones come
     // first and help the bigger ones.
     std::sort(pairs.begin(), pairs.end(),
@@ -219,7 +221,7 @@ SweepResult run_sweep(const aig::Aig& miter, const SweeperParams& params,
     SIMSWEEP_LOG_INFO("sweep round %u: %zu pairs, %zu CEX", round,
                       outcomes.size(), collector.num_cexes());
 
-    if (deadline.expired()) return finish(Verdict::kUndecided);
+    if (stop.stop_requested()) return finish(Verdict::kUndecided);
     if (collector.empty()) break;
     sim::PatternBank cex_bank(miter.num_pis(), 0);
     collector.flush_into(cex_bank);
@@ -229,7 +231,7 @@ SweepResult run_sweep(const aig::Aig& miter, const SweeperParams& params,
       // snapshot's bank re-derives exactly these refined classes. Hook
       // exceptions are swallowed: checkpointing never changes a verdict.
       append_bank(bank, cex_bank);
-      stats.seconds = deadline.clock.seconds();
+      stats.seconds = clock.seconds();
       const SweepCheckpointView view{&miter, round + 1, &merges,
                                      &removed, &bank,    &stats};
       try {
@@ -243,11 +245,11 @@ SweepResult run_sweep(const aig::Aig& miter, const SweeperParams& params,
   std::optional<PairSolver> fresh;
   PairSolver* core = strategy.persistent_core();
   if (core == nullptr) core = &fresh.emplace(miter, &subst);
-  core->set_interrupt([&deadline] { return deadline.expired(); });
+  core->set_interrupt(&stop);
   const Verdict verdict = [&] {
     bool all_proved = true;
     for (aig::Lit po : miter.pos()) {
-      if (deadline.expired()) return Verdict::kUndecided;
+      if (stop.stop_requested()) return Verdict::kUndecided;
       const aig::Lit r = subst.resolve(po);
       if (r == aig::kLitFalse) continue;
       if (r == aig::kLitTrue) return Verdict::kNotEquivalent;
@@ -270,9 +272,9 @@ SweepResult run_sweep(const aig::Aig& miter, const SweeperParams& params,
 
 SweepResult sweep_persistent(const aig::Aig& miter,
                              const SweeperParams& params,
-                             const SweepDeadline& deadline) {
-  PersistentCore strategy(miter, params, deadline);
-  return run_sweep(miter, params, deadline, strategy);
+                             const fault::StopToken& stop) {
+  PersistentCore strategy(miter, params, stop);
+  return run_sweep(miter, params, stop, strategy);
 }
 
 }  // namespace simsweep::sweep::detail
@@ -281,7 +283,7 @@ namespace simsweep::sweep {
 
 SweepResult SatSweeper::check_miter(const aig::Aig& miter) const {
   return detail::sweep_persistent(miter, params_,
-                                  detail::SweepDeadline(params_));
+                                  params_.stop.child(params_.time_limit));
 }
 
 }  // namespace simsweep::sweep

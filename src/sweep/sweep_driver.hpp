@@ -9,37 +9,18 @@
 /// proof. A RoundStrategy checks one round's pairs: the persistent core
 /// (SatSweeper) or sharded chunks (ParallelSatSweeper).
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "aig/aig_analysis.hpp"
 #include "aig/rebuild.hpp"
-#include "common/timer.hpp"
+#include "fault/governor.hpp"
 #include "sim/ec_manager.hpp"
 #include "sweep/pair_solver.hpp"
 #include "sweep/sat_sweeper.hpp"
 
 namespace simsweep::sweep::detail {
-
-/// One absolute stop condition for a whole sweep call: time_limit counted
-/// from construction, plus the cancel flag. sweep_miter() hands the same
-/// deadline to its fallback, so a failed attempt never restarts the clock.
-struct SweepDeadline {
-  explicit SweepDeadline(const SweeperParams& params)
-      : limit(params.time_limit), cancel(params.cancel) {}
-
-  bool expired() const {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed))
-      return true;
-    return limit > 0 && clock.seconds() > limit;
-  }
-
-  Timer clock;
-  double limit;
-  const std::atomic<bool>* cancel;
-};
 
 /// Outcome of one candidate pair in one round.
 struct PairOutcome {
@@ -68,26 +49,27 @@ class RoundStrategy {
 };
 
 /// Runs the whole sweep, checking each round's pairs with `strategy`.
+/// `stop` is the whole call's token (params.time_limit already applied).
 SweepResult run_sweep(const aig::Aig& miter, const SweeperParams& params,
-                      const SweepDeadline& deadline, RoundStrategy& strategy);
+                      const fault::StopToken& stop, RoundStrategy& strategy);
 
 /// The pair loop both strategies share: checks `pairs` in order on `ps`,
 /// writing `outcomes`. With `supports`, pairs whose combined support fits
 /// sim_support_limit are settled by cone simulation; SAT-proved pairs are
 /// asserted into `ps`; every proved pair is merged into `local` if given.
-/// Stops at the deadline or on an inconsistent solver; returns the count
-/// of pairs checked.
+/// Stops when `stop` fires or on an inconsistent solver; returns the
+/// count of pairs checked.
 std::size_t check_pairs(const aig::Aig& miter, const SweeperParams& params,
-                        const SweepDeadline& deadline, PairSolver& ps,
+                        const fault::StopToken& stop, PairSolver& ps,
                         aig::SubstitutionMap* local,
                         const aig::SupportInfo* supports,
                         std::span<const sim::CandidatePair> pairs,
                         std::span<PairOutcome> outcomes);
 
-/// The persistent-core sweep under an externally owned deadline (the
-/// sweep_miter() fallback shares the sharded attempt's).
+/// The persistent-core sweep under an externally owned token (the
+/// sweep_miter() fallback shares the sharded attempt's deadline).
 SweepResult sweep_persistent(const aig::Aig& miter,
                              const SweeperParams& params,
-                             const SweepDeadline& deadline);
+                             const fault::StopToken& stop);
 
 }  // namespace simsweep::sweep::detail

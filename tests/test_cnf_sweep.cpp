@@ -152,7 +152,7 @@ TEST(SatSweeper, CancellationYieldsUndecided) {
   if (aig::miter_proved(m)) GTEST_SKIP() << "refactor was the identity";
   std::atomic<bool> cancel{true};
   sweep::SweeperParams p;
-  p.cancel = &cancel;
+  p.stop = fault::StopToken(&cancel);
   const sweep::SweepResult r = sweep::SatSweeper(p).check_miter(m);
   EXPECT_EQ(r.verdict, Verdict::kUndecided);
 }

@@ -351,11 +351,9 @@ TEST(CheckingPassDetail, ExpiredDeadlineFlushCountsAbandonedChecks) {
   std::vector<detail::BufEntry> buffer{detail::BufEntry{0, cut}};
   std::vector<std::uint8_t> proved(1, 0);
 
-  const fault::Deadline past = fault::Deadline::after(1e-9);
-  while (!past.expired()) {
-  }
   PassParams params;
-  params.sim_params.deadline = &past;
+  params.sim_params.stop =
+      fault::StopToken().until(fault::StopToken::now_plus(-1.0));
   std::size_t sim_memory = params.sim_params.memory_words;
   PassStats stats;
   detail::flush_buffer(a, tasks, buffer, proved, params, sim_memory, stats);

@@ -346,7 +346,7 @@ TEST(Engine, CancellationYieldsUndecided) {
   if (aig::miter_proved(m)) GTEST_SKIP() << "strash already solved it";
   std::atomic<bool> cancel{true};
   EngineParams p = small_params();
-  p.cancel = &cancel;
+  p.stop = fault::StopToken(&cancel);
   const EngineResult r = SimCecEngine(p).check_miter(m);
   EXPECT_EQ(r.verdict, Verdict::kUndecided);
 }

@@ -292,7 +292,7 @@ TEST(Exhaustive, CancellationReturnsCancelled) {
   ASSERT_TRUE(w);
   std::atomic<bool> cancel{true};
   Params p;
-  p.cancel = &cancel;
+  p.stop = fault::StopToken(&cancel);
   const BatchResult r = check_batch(a, {std::move(*w)}, p);
   EXPECT_TRUE(r.cancelled);
 }

@@ -194,19 +194,43 @@ TEST(Governor, LeaseIsRaiiAndMovable) {
 }
 
 TEST(Governor, DeadlineSemantics) {
-  const fault::Deadline unbounded;
+  const fault::StopToken unbounded;
   EXPECT_FALSE(unbounded.bounded());
-  EXPECT_FALSE(unbounded.expired());
-  EXPECT_FALSE(fault::Deadline::after(0).bounded());
-  EXPECT_FALSE(fault::Deadline::after(-1).bounded());
-  const fault::Deadline generous = fault::Deadline::after(3600);
+  EXPECT_FALSE(unbounded.stop_requested());
+  EXPECT_FALSE(unbounded.child(0).bounded());
+  EXPECT_FALSE(unbounded.child(-1).bounded());
+  const fault::StopToken generous = unbounded.child(3600);
   EXPECT_TRUE(generous.bounded());
-  EXPECT_FALSE(generous.expired());
+  EXPECT_FALSE(generous.stop_requested());
   EXPECT_GT(generous.remaining_seconds(), 3000.0);
-  const fault::Deadline past = fault::Deadline::after(1e-9);
+  const fault::StopToken past = unbounded.child(1e-9);
   while (!past.expired()) {
   }
   EXPECT_DOUBLE_EQ(past.remaining_seconds(), 0.0);
+  EXPECT_TRUE(past.stop_requested());
+  EXPECT_FALSE(past.cancelled());
+
+  // child() can only move the deadline earlier: a spent budget stays
+  // spent however generous the child's cap.
+  EXPECT_TRUE(past.child(3600).expired());
+  EXPECT_LT(generous.child(10).remaining_seconds(), 11.0);
+  EXPECT_GT(generous.child(0).remaining_seconds(), 3000.0);
+  // An absolute time already past is expired, never unbounded.
+  const fault::StopToken overdue =
+      unbounded.until(fault::StopToken::now_plus(-5.0));
+  EXPECT_TRUE(overdue.bounded());
+  EXPECT_TRUE(overdue.expired());
+
+  // The latch: copies and children share it; no deadline is implied.
+  std::atomic<bool> latch{false};
+  const fault::StopToken latched(&latch);
+  const fault::StopToken child = latched.child(3600);
+  EXPECT_FALSE(latched.bounded());
+  EXPECT_FALSE(child.stop_requested());
+  latch.store(true);
+  EXPECT_TRUE(latched.cancelled());
+  EXPECT_TRUE(child.stop_requested());
+  EXPECT_FALSE(child.expired());
 }
 
 // ---------------------------------------------------------------------------

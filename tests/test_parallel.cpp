@@ -205,9 +205,10 @@ TEST(StagePlan, ChunkStagesSeeEveryIndexOnce) {
 TEST(StagePlan, PresetCancelRunsNothing) {
   ThreadPool pool(2);
   std::atomic<bool> cancel{true};
+  const fault::StopToken stop(&cancel);
   std::atomic<int> count{0};
   StagePlan plan;
-  plan.set_cancel(&cancel);
+  plan.set_stop(&stop);
   plan.stage(0, 1000, [&](std::size_t) { count.fetch_add(1); });
   plan.stage(0, 1000, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_FALSE(pool.run_stages(plan));
@@ -217,10 +218,11 @@ TEST(StagePlan, PresetCancelRunsNothing) {
 TEST(StagePlan, MidRunCancelSkipsLaterStages) {
   ThreadPool pool(2);
   std::atomic<bool> cancel{false};
+  const fault::StopToken stop(&cancel);
   std::atomic<int> first{0};
   std::atomic<int> second{0};
   StagePlan plan;
-  plan.set_cancel(&cancel);
+  plan.set_stop(&stop);
   plan.stage(0, 64, [&](std::size_t) {
     first.fetch_add(1);
     cancel.store(true);  // fires during stage 0
@@ -232,6 +234,19 @@ TEST(StagePlan, MidRunCancelSkipsLaterStages) {
   // skip means none at all once stage 0's last chunk retires.
   EXPECT_EQ(second.load(), 0);
   EXPECT_GT(first.load(), 0);
+}
+
+TEST(StagePlan, ExpiredDeadlineRunsNothing) {
+  // A deadline-only token (no latch) is honoured by the pool itself.
+  ThreadPool pool(2);
+  const fault::StopToken expired =
+      fault::StopToken().until(fault::StopToken::now_plus(-1.0));
+  std::atomic<int> count{0};
+  StagePlan plan;
+  plan.set_stop(&expired);
+  plan.stage(0, 1000, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_FALSE(pool.run_stages(plan));
+  EXPECT_EQ(count.load(), 0);
 }
 
 TEST(StagePlan, ConcurrentClientsRunningPlans) {

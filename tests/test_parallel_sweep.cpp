@@ -269,7 +269,7 @@ TEST(ParallelSweep, CancellationYieldsUndecided) {
   std::atomic<bool> cancel{true};
   sweep::SweeperParams p;
   p.num_threads = 4;
-  p.cancel = &cancel;
+  p.stop = fault::StopToken(&cancel);
   const sweep::SweepResult r = sweep::sweep_miter(m, p);
   EXPECT_EQ(r.verdict, Verdict::kUndecided);
 }

@@ -12,8 +12,11 @@
 #include "aig/miter.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/resume.hpp"
+#include "common/timer.hpp"
 #include "gen/arith.hpp"
+#include "gen/suite.hpp"
 #include "opt/resyn.hpp"
+#include "sweep/parallel_sweeper.hpp"
 #include "test_util.hpp"
 #include "obs/metric_names.hpp"
 
@@ -30,6 +33,22 @@ CombinedParams small_combined() {
   p.engine.k_l = 6;
   p.engine.memory_words = 1 << 16;
   return p;
+}
+
+/// The doubled-`doublings` Table II miter of `family` vs its resyn2 copy.
+Aig suite_miter(const char* family, unsigned doublings) {
+  gen::SuiteParams sp;
+  sp.doublings = doublings;
+  const gen::BenchCase c = gen::make_case(family, sp);
+  return aig::make_miter(c.original, c.optimized);
+}
+
+/// Wall seconds of `fn()`, result destruction included.
+template <typename Fn>
+double seconds_of(Fn&& fn) {
+  const Timer t;
+  fn();
+  return t.seconds();
 }
 
 TEST(Combined, EngineAloneSolvesEasyCase) {
@@ -262,6 +281,146 @@ TEST(Combined, ResumedRunChargesElapsedAgainstDeadline) {
   ASSERT_TRUE(r.combined.used_sat);
   EXPECT_GT(r.combined.sweeper_time_limit, 0.0);
   EXPECT_LE(r.combined.sweeper_time_limit, 6.0);
+}
+
+/// Resumes the 12-PI random pair of the budget tests from a hand-crafted
+/// `stage` snapshot that already spent 31 s of a 30 s budget.
+ckpt::CheckpointedResult resume_overspent(ckpt::Stage stage,
+                                          const char* tag) {
+  const Aig a = testutil::random_aig(12, 260, 6, 300);
+  const Aig b = opt::resyn_light(a);
+  ckpt::CheckpointedParams cp;
+  cp.combined = small_combined();
+  cp.combined.engine.time_limit = 30.0;
+  cp.checkpoint_path = ::testing::TempDir() + tag;
+  std::remove(cp.checkpoint_path.c_str());
+  std::remove((cp.checkpoint_path + ".prev").c_str());
+
+  const aig::Aig miter = aig::make_miter(a, b);
+  ckpt::Snapshot snap;
+  snap.stage = stage;
+  snap.fingerprint = ckpt::run_fingerprint(miter, cp.combined);
+  snap.elapsed_seconds = 31.0;
+  snap.boundary = stage == ckpt::Stage::kEngine ? "G" : "round";
+  snap.miter = miter;
+  snap.engine_stats.initial_ands = miter.num_ands();
+  snap.engine_stats.final_ands = miter.num_ands();
+  snap.engine_stats.pos_total = miter.num_pos();
+  const std::vector<std::uint8_t> bytes = ckpt::serialize(snap);
+  {
+    std::ofstream out(cp.checkpoint_path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  return ckpt::checked_combined_check_miter(miter, cp);
+}
+
+TEST(Combined, OverspentEngineSnapshotRunsNothing) {
+  // Regression (resume budget dribble): the resumed budget used to be
+  // floored at 0.05 s, so an over-spent snapshot still ran an engine
+  // attempt (which decides this pair in its P phase) and a 50 ms sweep.
+  // The restored deadline is now already expired.
+  const ckpt::CheckpointedResult r =
+      resume_overspent(ckpt::Stage::kEngine, "simsweep_overspent_engine.ckpt");
+  ASSERT_TRUE(r.resumed);
+  EXPECT_EQ(r.combined.verdict, Verdict::kUndecided);
+  EXPECT_EQ(r.combined.engine_stats.pos_proved, 0u);
+  EXPECT_EQ(r.combined.engine_stats.local_phases, 0u);
+  EXPECT_DOUBLE_EQ(r.combined.engine_stats.po_seconds, 0.0);
+  EXPECT_FALSE(r.combined.used_sat);
+  EXPECT_EQ(r.combined.sweeper_stats.sat_calls, 0u);
+}
+
+TEST(Combined, OverspentSweepSnapshotRunsNothing) {
+  const ckpt::CheckpointedResult r =
+      resume_overspent(ckpt::Stage::kSweep, "simsweep_overspent_sweep.ckpt");
+  ASSERT_TRUE(r.resumed);
+  EXPECT_EQ(r.combined.verdict, Verdict::kUndecided);
+  EXPECT_EQ(r.combined.sweeper_stats.sat_calls, 0u);
+  EXPECT_DOUBLE_EQ(r.combined.sweeper_time_limit, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Exact-overrun regressions (DESIGN.md §2.4): every arm returns within its
+// time_limit plus a small bounded latency, on a suite miter it cannot
+// decide in twice that time.
+// ---------------------------------------------------------------------------
+
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+/// Sanitizer builds only: instrumented code runs several times slower
+/// between two polls and in teardown.
+constexpr double kStopLatency = 0.5;
+#else
+constexpr double kStopLatency = 0.1;
+#endif
+constexpr double kArmLimit = 0.5;
+
+TEST(Overrun, EngineStopsAtTimeLimit) {
+  const Aig m = suite_miter("hyp", 0);
+  engine::EngineParams p;
+  p.time_limit = kArmLimit;
+  EXPECT_LE(seconds_of([&] { engine::SimCecEngine(p).check_miter(m); }),
+            kArmLimit + kStopLatency);
+}
+
+TEST(Overrun, SatSweeperStopsAtTimeLimit) {
+  const Aig m = suite_miter("sqrt", 1);
+  sweep::SweeperParams p;
+  p.time_limit = kArmLimit;
+  EXPECT_LE(seconds_of([&] { sweep::SatSweeper(p).check_miter(m); }),
+            kArmLimit + kStopLatency);
+}
+
+TEST(Overrun, ShardedSweepStopsAtTimeLimit) {
+  const Aig m = suite_miter("multiplier", 0);
+  sweep::SweeperParams p;
+  p.num_threads = 4;
+  p.time_limit = kArmLimit;
+  EXPECT_LE(seconds_of([&] { sweep::sweep_miter(m, p); }),
+            kArmLimit + kStopLatency);
+}
+
+TEST(Overrun, CombinedStopsAtTimeLimit) {
+  const Aig m = suite_miter("hyp", 0);
+  CombinedParams p;
+  p.engine.time_limit = kArmLimit;
+  EXPECT_LE(seconds_of([&] { combined_check_miter(m, p); }),
+            kArmLimit + kStopLatency);
+}
+
+TEST(Overrun, BddCheckStopsAtTimeLimit) {
+  // Used to ignore a 0.5 s limit for over 60 s on this miter: the only
+  // poll sat between AIG nodes, outside the apply recursion.
+  const Aig m = suite_miter("voter", 0);
+  bdd::BddCecParams p;
+  p.time_limit = kArmLimit;
+  EXPECT_LE(seconds_of([&] { bdd::bdd_check_miter(m, p); }),
+            kArmLimit + kStopLatency);
+}
+
+TEST(Overrun, BddSweepStopsAtTimeLimit) {
+  const Aig m = suite_miter("voter", 0);
+  bdd::BddSweepParams p;
+  p.time_limit = kArmLimit;
+  EXPECT_LE(seconds_of([&] { bdd::bdd_sweep_miter(m, p); }),
+            kArmLimit + kStopLatency);
+}
+
+TEST(Portfolio, LosersStopWhenTheWinnerDecides) {
+  // The SAT arm decides voter in well under a second; the losers must
+  // observe the race latch promptly. The BDD arms used to run on past
+  // every limit, so the call did not return for minutes.
+  const Aig m = suite_miter("voter", 0);
+  PortfolioParams p;
+  p.combined.engine.time_limit = 5.0;
+  p.sweeper.time_limit = 5.0;
+  p.bdd.time_limit = 5.0;
+  p.bdd_sweep.time_limit = 5.0;
+  PortfolioResult r;
+  const double wall = seconds_of([&] { r = portfolio_check_miter(m, p); });
+  EXPECT_EQ(r.verdict, Verdict::kEquivalent);
+  EXPECT_EQ(r.winner, "sat");
+  EXPECT_LE(wall, r.seconds + 2 * kStopLatency);
 }
 
 TEST(Portfolio, FirstDecisiveEngineWins) {
