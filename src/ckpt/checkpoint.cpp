@@ -155,7 +155,7 @@ std::vector<std::uint8_t> serialize(const Snapshot& s) {
   w.u64(es.cex_count);
   w.u64(es.local_phases);
 
-  const engine::DegradeState& d = s.degrade;
+  const exhaustive::DegradeState& d = s.degrade;
   w.u64(d.memory_words);
   w.u8(d.window_merging ? 1 : 0);
   w.u64(d.ladder_steps);
@@ -243,7 +243,7 @@ std::optional<Snapshot> parse(const std::uint8_t* data, std::size_t size) {
   es.cex_count = r.u64();
   es.local_phases = r.u64();
 
-  engine::DegradeState& d = s.degrade;
+  exhaustive::DegradeState& d = s.degrade;
   d.memory_words = r.u64();
   d.window_merging = r.u8() != 0;
   d.ladder_steps = r.u64();

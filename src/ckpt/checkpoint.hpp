@@ -71,7 +71,7 @@ struct Snapshot {
   double elapsed_seconds = 0;
   std::string boundary;  ///< "P", "G", "L", "G+" or "round"
   engine::EngineStats engine_stats;
-  engine::DegradeState degrade;
+  exhaustive::DegradeState degrade;
   /// The reduced miter at the boundary (the engine's working miter for
   /// kEngine, the residue handed to the sweeper for kSweep).
   aig::Aig miter;

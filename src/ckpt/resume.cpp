@@ -25,7 +25,7 @@ void fnv(std::uint64_t& h, std::uint64_t v) {
 /// so sweep-stage snapshots embed the engine totals of the whole chain.
 struct HookState {
   engine::EngineStats engine_stats;
-  engine::DegradeState degrade;
+  exhaustive::DegradeState degrade;
   /// True when resuming from an engine-stage snapshot: the resumed
   /// attempt's stats cover only the continuation, so boundary snapshots
   /// fold the loaded base back in (next crash resumes the full totals).
@@ -168,14 +168,7 @@ CheckpointedResult checked_combined_check_miter(
     engine::publish_engine_stats(registry, r.engine_stats);
     // v3 reports require the faults/degrade sections the skipped engine
     // would have published; restore them from the snapshot's ladder state.
-    const engine::DegradeState& d = snap->degrade;
-    registry.add(obs::metric::kDegradeLadderSteps, d.ladder_steps);
-    registry.add(obs::metric::kDegradeMemoryHalvings, d.memory_halvings);
-    registry.add(obs::metric::kDegradeMergeFallbacks, d.merge_fallbacks);
-    registry.add(obs::metric::kDegradeBatchSplits, d.batch_splits);
-    registry.add(obs::metric::kDegradeDeadlineExpiries, d.deadline_expiries);
-    registry.add(obs::metric::kDegradeUnitsAbandoned, d.units_abandoned);
-    registry.add(obs::metric::kDegradePassRetries, d.pass_retries);
+    exhaustive::publish_degrade(registry, snap->degrade);
     r.used_sat = true;
 
     sweep::SweeperParams sp = combined.sweeper;

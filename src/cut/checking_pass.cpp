@@ -17,14 +17,12 @@ namespace simsweep::cut {
 namespace detail {
 
 /// Flushes the buffer through the exhaustive simulator (Alg. 2 lines
-/// 13-15 / 17-18). Entries of already-proved tasks are dropped.
-/// `sim_memory` is the pass-wide working simulator budget: the flush
-/// ladder halves it on recoverable batch failures and the reduction
-/// sticks for later flushes (DESIGN.md §2.4).
+/// 13-15 / 17-18) under the degradation ladder (DESIGN.md §2.4). Entries
+/// of already-proved tasks are dropped.
 void flush_buffer(const aig::Aig& aig, const std::vector<PairTask>& tasks,
                   std::vector<BufEntry>& buffer,
                   std::vector<std::uint8_t>& proved, const PassParams& params,
-                  std::size_t& sim_memory, PassStats& stats) {
+                  exhaustive::Ladder& ladder, PassStats& stats) {
   if (buffer.empty()) return;
   ++stats.flushes;
 
@@ -54,47 +52,20 @@ void flush_buffer(const aig::Aig& aig, const std::vector<PairTask>& tasks,
 
   exhaustive::Params sim = params.sim_params;
   sim.collect_cex = false;  // local mismatches are inconclusive, not CEXs
-  std::size_t halvings = 0;  // this flush's share of stats.ladder_steps
-  for (unsigned attempt = 0;; ++attempt) {
-    sim.memory_words = sim_memory;
-    const exhaustive::BatchResult result =
-        exhaustive::check_batch(aig, windows, sim);
-    if (result.cancelled) return;  // outcomes invalid
-    if (result.failure == exhaustive::BatchFailure::kDeadline) {
-      // The in-flight windows are dropped unproved — that is abandoned
-      // work and must be accounted as such (the v2 report's
-      // checks_abandoned understated deadline losses before).
-      stats.deadline_expired = true;
-      stats.checks_abandoned += windows.size();
-      return;
+  // Windows the ladder drops (fault or deadline) leave their pairs
+  // unproved for later passes / the SAT sweeper: a cut check proves or is
+  // inconclusive, so an unattempted check is sound.
+  const exhaustive::BatchResult r =
+      ladder.run_batch(aig, std::move(windows), std::move(sim));
+  if (r.cancelled) return;  // outcomes invalid
+  if (r.failure == exhaustive::BatchFailure::kDeadline)
+    stats.deadline_expired = true;
+  stats.checks += r.outcomes.size();
+  for (const auto& [tag, status] : r.outcomes) {
+    if (status == exhaustive::ItemStatus::kProved && !proved[tag]) {
+      proved[tag] = 1;
+      ++stats.proved;
     }
-    if (result.failure != exhaustive::BatchFailure::kNone) {
-      ++stats.batch_faults;
-      if (attempt < params.max_fault_retries &&
-          sim_memory / 2 >= params.min_memory_words) {
-        sim_memory /= 2;
-        ++stats.ladder_steps;
-        ++halvings;
-        continue;
-      }
-      // Dropping the checks is sound: a cut check proves or is
-      // inconclusive, so an unattempted check just leaves its pair
-      // unproved for later passes / the SAT sweeper.
-      stats.checks_abandoned += windows.size();
-      ++stats.flushes_abandoned;
-      return;
-    }
-    stats.checks += result.outcomes.size();
-    // Only now do this flush's halvings count as recovered — a flush
-    // that halved its way down and still abandoned recovered nothing.
-    stats.halvings_recovered += halvings;
-    for (const auto& [tag, status] : result.outcomes) {
-      if (status == exhaustive::ItemStatus::kProved && !proved[tag]) {
-        proved[tag] = 1;
-        ++stats.proved;
-      }
-    }
-    return;
   }
 }
 
@@ -106,7 +77,8 @@ using detail::flush_buffer;
 PassResult run_checking_pass(const aig::Aig& aig,
                              const std::vector<PairTask>& tasks,
                              Pass pass, const PassParams& params,
-                             const std::vector<std::uint8_t>* already_proved) {
+                             const std::vector<std::uint8_t>* already_proved,
+                             exhaustive::Ladder* ladder) {
   PassResult result;
   result.proved.assign(tasks.size(), 0);
   if (already_proved != nullptr) {
@@ -190,7 +162,15 @@ PassResult run_checking_pass(const aig::Aig& aig,
   const CutScorer& scorer = *scorer_store;
   std::vector<BufEntry> buffer;
   buffer.reserve(params.buffer_capacity);
-  std::size_t sim_memory = params.sim_params.memory_words;
+  std::optional<exhaustive::Ladder> own_ladder;
+  if (ladder == nullptr)
+    ladder = &own_ladder.emplace(params.sim_params.memory_words);
+  // A flush cut short by the deadline ends the pass, proofs intact.
+  const auto flush = [&] {
+    flush_buffer(aig, tasks, buffer, result.proved, params, *ladder,
+                 result.stats);
+    return result.stats.deadline_expired;
+  };
 
   const fault::StopToken& stop = params.sim_params.stop;
   for (std::uint32_t l = 1; l <= max_el; ++l) {
@@ -200,6 +180,10 @@ PassResult run_checking_pass(const aig::Aig& aig,
     // expired deadline keeps the proofs and tells the caller.
     if (stop.cancelled()) return result;
     if (stop.expired()) {
+      // The buffered checks of still-unproved pairs are dropped.
+      ladder->expire(std::count_if(
+          buffer.begin(), buffer.end(),
+          [&](const BufEntry& e) { return !result.proved[e.task]; }));
       result.stats.deadline_expired = true;
       return result;
     }
@@ -250,9 +234,8 @@ PassResult run_checking_pass(const aig::Aig& aig,
       const auto& cuts = generated[k - lo];
       if (cuts.empty()) continue;
       const std::uint32_t t = task_of[order[k]];
-      if (cuts.size() > params.buffer_capacity - buffer.size())
-        flush_buffer(aig, tasks, buffer, result.proved, params, sim_memory,
-                     result.stats);
+      if (cuts.size() > params.buffer_capacity - buffer.size() && flush())
+        return result;
       // Injection site `cut.enum_overflow` (DESIGN.md §2.4): models the
       // bounded buffer failing to grow. Host-thread insertion loop, so
       // the throw unwinds cleanly to the engine's pass-retry ladder.
@@ -264,8 +247,7 @@ PassResult run_checking_pass(const aig::Aig& aig,
           // flush above could not make room, so split the group across
           // flushes rather than overrun the bounded-buffer contract.
           ++result.stats.group_splits;
-          flush_buffer(aig, tasks, buffer, result.proved, params,
-                       sim_memory, result.stats);
+          if (flush()) return result;
         }
         buffer.push_back(BufEntry{t, c});
         ++result.stats.common_cuts;
@@ -276,8 +258,7 @@ PassResult run_checking_pass(const aig::Aig& aig,
   }
 
   // Line 17-18: final batch.
-  flush_buffer(aig, tasks, buffer, result.proved, params, sim_memory,
-               result.stats);
+  flush();
   return result;
 }
 

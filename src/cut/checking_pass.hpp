@@ -18,7 +18,7 @@
 
 #include "aig/aig.hpp"
 #include "cut/cut_enum.hpp"
-#include "exhaustive/exhaustive_sim.hpp"
+#include "exhaustive/ladder.hpp"
 
 namespace simsweep::cut {
 
@@ -41,13 +41,6 @@ struct PassParams {
   /// sim_params.stop is also checked between enumeration levels; expiry
   /// ends the pass early with its proofs intact.
   exhaustive::Params sim_params;
-  /// Flush-ladder bounds (DESIGN.md §2.4): a flush whose exhaustive batch
-  /// fails recoverably (OOM / ledger denial) retries with the simulator
-  /// budget halved down to min_memory_words, at most max_fault_retries
-  /// times, then drops the buffered checks (inconclusive == unproved, so
-  /// dropping is sound).
-  unsigned max_fault_retries = 3;
-  std::size_t min_memory_words = std::size_t{1} << 10;
   /// Optional cached level schedule of the miter (DESIGN.md §2.7). When
   /// non-null and matching the pass AIG, the scorer and the per-cut
   /// window builds borrow its levels instead of recomputing them. The
@@ -69,17 +62,6 @@ struct PassStats {
   /// Histogram of needed AND nodes by enumeration level, log2-bucketed:
   /// level_hist[b] counts nodes with floor(log2(level)) == b.
   std::vector<std::size_t> level_hist;
-  // --- Flush-ladder telemetry (DESIGN.md §2.4). The caller folds these
-  // into the engine's degradation state.
-  std::size_t batch_faults = 0;      ///< recoverable flush-batch failures
-  std::size_t ladder_steps = 0;      ///< budget halvings taken by flushes
-  std::size_t checks_abandoned = 0;  ///< buffered checks dropped unproved
-  /// Budget halvings belonging to flushes that ultimately SUCCEEDED (the
-  /// recovered subset of ladder_steps; the engine counts only these as
-  /// faults_recovered — see run_local_phase).
-  std::size_t halvings_recovered = 0;
-  /// Flushes that exhausted the ladder and dropped their checks.
-  std::size_t flushes_abandoned = 0;
   /// High-water mark of the cut buffer — bounded-buffer contract witness
   /// (peak_buffered <= buffer_capacity always; see group_splits).
   std::size_t peak_buffered = 0;
@@ -99,32 +81,32 @@ struct PassResult {
 /// still unproved; entries already known proved can be pre-marked via
 /// `already_proved` (their nodes then skip common-cut generation but still
 /// get priority cuts, since TFO nodes need them).
+/// Every flush runs its batch through `ladder` (DESIGN.md §2.4), or a
+/// private one seeded from sim_params.memory_words when it is null.
 PassResult run_checking_pass(const aig::Aig& aig,
                              const std::vector<PairTask>& tasks,
                              Pass pass, const PassParams& params,
                              const std::vector<std::uint8_t>* already_proved =
-                                 nullptr);
+                                 nullptr,
+                             exhaustive::Ladder* ladder = nullptr);
 
 namespace detail {
 
 /// One buffered local check: prove tasks[task] over `cut`. Exposed (with
-/// flush_buffer) so the flush ladder's terminal branches — deadline
-/// expiry, abandonment accounting — are unit-testable directly; the pass
-/// driver's own deadline check between levels intercepts an expired
-/// deadline before a flush would see it.
+/// flush_buffer) so a flush's deadline and abandonment accounting is
+/// unit-testable directly; the pass driver's own deadline check between
+/// levels intercepts an expired deadline before a flush would see it.
 struct BufEntry {
   std::uint32_t task = 0;
   Cut cut;
 };
 
 /// Flushes the buffer through the exhaustive simulator (Alg. 2 lines
-/// 13-15 / 17-18); see run_checking_pass. `sim_memory` is the pass-wide
-/// working simulator budget: the flush ladder halves it on recoverable
-/// batch failures and the reduction sticks for later flushes.
+/// 13-15 / 17-18) under `ladder`; see run_checking_pass.
 void flush_buffer(const aig::Aig& aig, const std::vector<PairTask>& tasks,
                   std::vector<BufEntry>& buffer,
                   std::vector<std::uint8_t>& proved, const PassParams& params,
-                  std::size_t& sim_memory, PassStats& stats);
+                  exhaustive::Ladder& ladder, PassStats& stats);
 
 }  // namespace detail
 

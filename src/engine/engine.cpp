@@ -65,11 +65,8 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
   ctx.stats.initial_ands = ctx.miter.num_ands();
   ctx.stats.pos_total = ctx.miter.num_pos();
 
-  // Resource governor (DESIGN.md §2.4): the ladder's working parameters
-  // start from the configured ones, and the memory ledger is either the
+  // Resource governor (DESIGN.md §2.4): the memory ledger is either the
   // caller's (portfolio-shared budget) or a run-private one.
-  ctx.degrade.memory_words = params_.memory_words;
-  ctx.degrade.window_merging = params_.window_merging;
   // Incremental simulation A/B lever (DESIGN.md §2.7): disabled, every
   // sync() re-simulates the whole bank and rebuilds classes from scratch.
   ctx.inc.set_enabled(params_.incremental_sim);
@@ -107,7 +104,6 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
     // semantics accumulate across shared-registry attempt chains.
     registry.add(obs::metric::kFaultsInjected,
                  fault::fires_total() - fault_fires_before);
-    registry.add(obs::metric::kFaultsRecovered, ctx.degrade.faults_recovered);
     for (const auto& [site, fires] : fault::active_fire_counts()) {
       std::uint64_t before = 0;
       for (const auto& [s0, f0] : site_fires_before)
@@ -115,13 +111,7 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
       if (fires > before)
         registry.add(obs::metric::kFaultsSitePrefix + site, fires - before);
     }
-    registry.add(obs::metric::kDegradeLadderSteps, ctx.degrade.ladder_steps);
-    registry.add(obs::metric::kDegradeMemoryHalvings, ctx.degrade.memory_halvings);
-    registry.add(obs::metric::kDegradeMergeFallbacks, ctx.degrade.merge_fallbacks);
-    registry.add(obs::metric::kDegradeBatchSplits, ctx.degrade.batch_splits);
-    registry.add(obs::metric::kDegradeDeadlineExpiries, ctx.degrade.deadline_expiries);
-    registry.add(obs::metric::kDegradeUnitsAbandoned, ctx.degrade.units_abandoned);
-    registry.add(obs::metric::kDegradePassRetries, ctx.degrade.pass_retries);
+    exhaustive::publish_degrade(registry, ctx.ladder.state());
     // Incremental carry-over section (DESIGN.md §2.7). Published even when
     // all-zero so every report carries the partial_sim.carryover family.
     const sim::CarryStats& cs = ctx.inc.stats();
@@ -170,7 +160,7 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
     view.miter = &ctx.miter;
     view.bank = ctx.bank ? &*ctx.bank : nullptr;
     view.stats = &ctx.stats;
-    view.degrade = &ctx.degrade;
+    view.degrade = &ctx.ladder.state();
     view.boundary = boundary;
     try {
       params_.checkpoint_hook(view);

@@ -31,6 +31,7 @@
 #include "aig/aig_analysis.hpp"
 #include "aig/miter.hpp"
 #include "common/verdict.hpp"
+#include "exhaustive/ladder.hpp"
 #include "fault/governor.hpp"
 #include "obs/registry.hpp"
 #include "sim/incremental.hpp"
@@ -42,25 +43,6 @@ using simsweep::Verdict;
 
 struct EngineStats;
 
-/// Degradation-ladder state (DESIGN.md §2.4), mutated by the host thread
-/// only. Backoff persists across phases: once a fault forced M down or
-/// merging off, later phases start from the degraded values — the
-/// resource pressure that caused the fault rarely goes away mid-run. It
-/// is also part of every checkpoint snapshot (DESIGN.md §2.8), so a
-/// resumed run re-enters the ladder where the crashed run left it.
-struct DegradeState {
-  std::size_t memory_words = 0;  ///< working M (seeded from params)
-  bool window_merging = true;    ///< dropped on repeated merge faults
-  std::uint64_t ladder_steps = 0;      ///< parameter-backoff steps taken
-  std::uint64_t memory_halvings = 0;   ///< M halved (OOM / budget denial)
-  std::uint64_t merge_fallbacks = 0;   ///< merged builds that fell back
-  std::uint64_t batch_splits = 0;      ///< batches split per-window
-  std::uint64_t deadline_expiries = 0; ///< phase deadlines that expired
-  std::uint64_t units_abandoned = 0;   ///< windows/passes left undecided
-  std::uint64_t pass_retries = 0;      ///< cut passes retried after fault
-  std::uint64_t faults_recovered = 0;  ///< failures answered by a retry
-};
-
 /// Read-only view handed to EngineParams::checkpoint_hook at every phase
 /// boundary of an undecided-but-continuing run (DESIGN.md §2.8). All
 /// pointers alias host-thread engine state and are only valid for the
@@ -69,7 +51,7 @@ struct EngineCheckpointView {
   const aig::Aig* miter = nullptr;           ///< current reduced miter
   const sim::PatternBank* bank = nullptr;    ///< null before first random sim
   const EngineStats* stats = nullptr;
-  const DegradeState* degrade = nullptr;
+  const exhaustive::DegradeState* degrade = nullptr;
   const char* boundary = "";  ///< "P", "G", "L" or "G+" (escalated global)
 };
 
@@ -277,12 +259,12 @@ struct EngineContext {
   /// inside a phase — the engine substitutes a private registry when the
   /// caller provided none).
   obs::Registry* obs = nullptr;
-  /// Degradation-ladder state (DESIGN.md §2.4); the type lives at
-  /// namespace scope so checkpoint snapshots can carry it (§2.8). The
-  /// member alias keeps the phases' historical EngineContext::DegradeState
-  /// spelling valid.
-  using DegradeState = ::simsweep::engine::DegradeState;
-  DegradeState degrade;
+  /// Degradation ladder (DESIGN.md §2.4): every exhaustive batch of the
+  /// run goes through it, and it owns the run's DegradeState, seeded from
+  /// the configured M and merging switch.
+  exhaustive::Ladder ladder{params.memory_words, params.window_merging,
+                            params.max_fault_retries,
+                            params.min_memory_words};
   /// Memory governor for this run: the caller's EngineParams::memory_ledger,
   /// an engine-private one (memory_budget_bytes > 0), or null (ungoverned).
   fault::MemoryLedger* ledger = nullptr;

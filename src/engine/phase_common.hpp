@@ -9,8 +9,6 @@
 #include "aig/aig_analysis.hpp"
 #include "aig/rebuild.hpp"
 #include "engine/engine.hpp"
-#include "exhaustive/exhaustive_sim.hpp"
-#include "fault/governor.hpp"
 #include "obs/metric_names.hpp"
 #include "sim/ec_manager.hpp"
 #include "sim/incremental.hpp"
@@ -38,11 +36,10 @@ inline std::vector<bool> expand_cex(
 // provided none), and all of these run on the host thread at batch/phase
 // boundaries — never inside a pool worker body.
 
-/// Publishes one merge_windows() run under `exhaustive.merge.*` and folds
-/// build failures into the degradation ladder: a failed merged build
-/// already degraded (the originals passed through unmerged — see
-/// window_merge.hpp), and a run with more fallbacks than the retry budget
-/// drops window merging for the rest of the run.
+/// Publishes one merge_windows() run under `exhaustive.merge.*` and hands
+/// its build failures to the degradation ladder (a failed merged build
+/// already degraded: the originals passed through unmerged — see
+/// window_merge.hpp).
 inline void publish_merge_stats(EngineContext& ctx,
                                 const window::MergeStats& ms) {
   obs::Registry& r = *ctx.obs;
@@ -56,115 +53,7 @@ inline void publish_merge_stats(EngineContext& ctx,
   r.add(obs::metric::kMergeRejectedCapacity, ms.rejected_capacity);
   r.add(obs::metric::kMergeRejectedSimilarity, ms.rejected_similarity);
   r.add(obs::metric::kMergeBuildFailures, ms.build_failures);
-  if (ms.build_failures > 0) {
-    auto& deg = ctx.degrade;
-    deg.merge_fallbacks += ms.build_failures;
-    deg.ladder_steps += ms.build_failures;
-    deg.faults_recovered += ms.build_failures;
-    if (deg.window_merging &&
-        deg.merge_fallbacks > ctx.params.max_fault_retries) {
-      deg.window_merging = false;  // stop paying for builds that keep failing
-      ++deg.ladder_steps;
-    }
-  }
-}
-
-/// Result of run_batch_with_ladder(). `result.outcomes` is valid whenever
-/// `cancelled` is false — possibly partial: abandoned items simply have no
-/// outcome, which is sound (they stay unproved in the miter and flow to
-/// the SAT sweeper).
-struct LadderOutcome {
-  exhaustive::BatchResult result;
-  bool cancelled = false;
-  bool deadline_expired = false;
-  std::size_t items_abandoned = 0;
-};
-
-/// Runs one exhaustive batch under the degradation ladder (DESIGN.md
-/// §2.4). On a recoverable failure (bad_alloc in the simulation table or
-/// a memory-ledger denial) the ladder retries with backoff, persisting
-/// the degraded parameters in ctx.degrade so later batches start there:
-///   1. halve the working M (down to params.min_memory_words), at most
-///      params.max_fault_retries times per batch;
-///   2. split the batch per window and run each alone (smaller tables);
-///   3. abandon the remaining items to the undecided path.
-/// Deadline expiry is not retried — the phase's remaining work is simply
-/// not attempted. Host thread only.
-inline LadderOutcome run_batch_with_ladder(EngineContext& ctx,
-                                           const aig::Aig& aig,
-                                           std::vector<window::Window> windows,
-                                           exhaustive::Params sim,
-                                           int depth = 0) {
-  LadderOutcome out;
-  EngineContext::DegradeState& deg = ctx.degrade;
-  for (unsigned attempt = 0;; ++attempt) {
-    sim.memory_words = deg.memory_words;
-    sim.ledger = ctx.ledger;
-    exhaustive::BatchResult r = exhaustive::check_batch(aig, windows, sim);
-    if (r.cancelled) {
-      out.cancelled = true;
-      return out;
-    }
-    if (r.failure == exhaustive::BatchFailure::kNone) {
-      out.result = std::move(r);
-      return out;
-    }
-    if (r.failure == exhaustive::BatchFailure::kDeadline) {
-      ++deg.deadline_expiries;
-      out.deadline_expired = true;
-      return out;
-    }
-    // kAlloc / kMemoryBudget. Rung 1: same batch, half the table budget.
-    if (attempt < ctx.params.max_fault_retries &&
-        deg.memory_words / 2 >= ctx.params.min_memory_words) {
-      deg.memory_words /= 2;
-      ++deg.memory_halvings;
-      ++deg.ladder_steps;
-      ++deg.faults_recovered;
-      continue;
-    }
-    // Rung 2: split the batch per window — each window's table is a
-    // fraction of the batch's, so singles can fit where the batch could
-    // not. One level deep only.
-    if (depth == 0 && windows.size() > 1) {
-      ++deg.batch_splits;
-      ++deg.ladder_steps;
-      ++deg.faults_recovered;
-      for (window::Window& w : windows) {
-        std::vector<window::Window> one;
-        one.push_back(std::move(w));
-        LadderOutcome sub =
-            run_batch_with_ladder(ctx, aig, std::move(one), sim, 1);
-        out.items_abandoned += sub.items_abandoned;
-        if (sub.cancelled) {
-          out.cancelled = true;
-          return out;
-        }
-        out.result.outcomes.insert(
-            out.result.outcomes.end(),
-            std::make_move_iterator(sub.result.outcomes.begin()),
-            std::make_move_iterator(sub.result.outcomes.end()));
-        out.result.cexes.insert(
-            out.result.cexes.end(),
-            std::make_move_iterator(sub.result.cexes.begin()),
-            std::make_move_iterator(sub.result.cexes.end()));
-        out.result.rounds = std::max(out.result.rounds, sub.result.rounds);
-        out.result.words_simulated += sub.result.words_simulated;
-        if (sub.deadline_expired) {
-          out.deadline_expired = true;
-          return out;
-        }
-      }
-      return out;
-    }
-    // Rung 3: abandon. The unproved items remain in the miter, so the
-    // final verdict stays sound (they reach the SAT sweeper undecided).
-    for (const window::Window& w : windows)
-      out.items_abandoned += w.items.size();
-    deg.units_abandoned += windows.size();
-    ++deg.ladder_steps;
-    return out;
-  }
+  ctx.ladder.note_merge_fallbacks(ms.build_failures);
 }
 
 /// Records one miter rebuild under `miter.*` (called at every rebuild
@@ -177,12 +66,6 @@ inline void note_rebuild(EngineContext& ctx, std::size_t ands_before,
   r.add(obs::metric::kMiterAndsAfter, ands_after);
   if (ands_before > ands_after)
     r.add(obs::metric::kMiterAndsRemoved, ands_before - ands_after);
-}
-
-/// Records one sim::simulate() sweep under `partial_sim.*`.
-inline void note_partial_sim(EngineContext& ctx, std::size_t bank_words) {
-  ctx.obs->add(obs::metric::kPartialSimSimulateCalls);
-  ctx.obs->add(obs::metric::kPartialSimPatternWords, bank_words);
 }
 
 /// The current miter's cached level schedule (DESIGN.md §2.7), built on
@@ -221,10 +104,8 @@ inline void apply_reduction(EngineContext& ctx,
   const std::uint64_t fallbacks_before = ctx.inc.stats().carry_fallbacks;
   aig::RebuildResult rr = aig::rebuild(ctx.miter, subst);
   ctx.inc.apply_rebuild(rr.aig, rr.lit_map);
-  if (ctx.inc.stats().carry_fallbacks > fallbacks_before) {
-    ++ctx.degrade.ladder_steps;
-    ++ctx.degrade.faults_recovered;
-  }
+  if (ctx.inc.stats().carry_fallbacks > fallbacks_before)
+    ctx.ladder.note_carry_fallback();
   ctx.miter = std::move(rr.aig);
   ctx.schedule.reset();
   note_rebuild(ctx, before_ands, ctx.miter.num_ands());

@@ -103,7 +103,7 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
     for (auto& w : built)
       if (w) windows.push_back(std::move(*w));
 
-    if (ctx.degrade.window_merging) {
+    if (ctx.ladder.state().window_merging) {
       window::MergeStats ms;
       windows = window::merge_windows(miter, std::move(windows), k_g, &ms);
       publish_merge_stats(ctx, ms);
@@ -117,6 +117,7 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
     sim_params.max_cex = eligible.size();  // guarantee refinement splits
     sim_params.stop = phase_stop;
     sim_params.obs = ctx.obs;
+    sim_params.ledger = ctx.ledger;
 
     std::size_t proved = 0, disproved = 0;
     sim::CexCollector collector(miter.num_pis());
@@ -126,15 +127,14 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
       std::vector<window::Window> batch(
           std::make_move_iterator(windows.begin() + lo),
           std::make_move_iterator(windows.begin() + hi));
-      const LadderOutcome ladder =
-          run_batch_with_ladder(ctx, miter, std::move(batch), sim_params);
-      if (ladder.cancelled) {  // outcomes invalid: finish the phase early
+      const exhaustive::BatchResult result =
+          ctx.ladder.run_batch(miter, std::move(batch), sim_params);
+      if (result.cancelled) {  // outcomes invalid: finish the phase early
         publish_ec_stats(ctx, ec.stats(), ec_entry);
         if (!subst.empty()) apply_reduction(ctx, subst);
         ctx.stats.global_seconds += t.seconds();
         return subst.num_merged();
       }
-      const exhaustive::BatchResult& result = ladder.result;
       for (const auto& [tag, status] : result.outcomes) {
         const sim::CandidatePair& pair = eligible[tag];
         if (status == exhaustive::ItemStatus::kProved) {
@@ -164,7 +164,8 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
           }
         }
       }
-      if (ladder.deadline_expired) {  // keep proofs, stop checking
+      if (result.failure == exhaustive::BatchFailure::kDeadline) {
+        // keep proofs, stop checking
         phase_expired = true;
         break;
       }

@@ -19,7 +19,6 @@
 #include "common/timer.hpp"
 #include "cut/checking_pass.hpp"
 #include "engine/phase_common.hpp"
-#include "fault/fault.hpp"
 #include "obs/metric_names.hpp"
 #include "sim/ec_manager.hpp"
 
@@ -111,8 +110,6 @@ bool run_local_phase(EngineContext& ctx) {
   pass_params.sim_params.stop = p.stop.child(p.phase_time_limit);
   pass_params.sim_params.obs = ctx.obs;
   pass_params.sim_params.ledger = ctx.ledger;
-  pass_params.max_fault_retries = p.max_fault_retries;
-  pass_params.min_memory_words = p.min_memory_words;
   pass_params.schedule = sched;
 
   std::vector<std::uint8_t> proved(tasks.size(), 0);
@@ -124,67 +121,31 @@ bool run_local_phase(EngineContext& ctx) {
     // Per-pass parameter reset: retry backoff below shrinks cut_size /
     // buffer_capacity for THIS pass only — each pass starts from the
     // configured values again (only memory degradation, which tracks a
-    // process-wide pressure, sticks in ctx.degrade.memory_words).
+    // process-wide pressure, sticks in the ladder's working M).
     pass_params.enum_params.cut_size = p.k_l;
     pass_params.buffer_capacity = p.cut_buffer_capacity;
-    // Degradation ladder around a whole pass: a pass that faults (cut
-    // buffer overflow injection, OOM outside the batch path) is retried
-    // with smaller cuts and a smaller buffer; after the retry budget the
-    // pass is skipped — its unproved pairs stay soundly undecided.
+    // A pass that faults outside its batches (cut buffer overflow, OOM)
+    // is retried with smaller cuts and a smaller buffer, then skipped —
+    // its unproved pairs stay soundly undecided.
     std::optional<cut::PassResult> result;
-    unsigned retries_taken = 0;
-    for (unsigned retry = 0;; ++retry) {
-      pass_params.sim_params.memory_words = ctx.degrade.memory_words;
-      try {
-        result = cut::run_checking_pass(miter, tasks, kPasses[i],
-                                        pass_params, &proved);
-        break;
-      } catch (const std::bad_alloc&) {
-      } catch (const fault::FaultError&) {
-      }
-      if (retry >= p.max_fault_retries) {
-        ++ctx.degrade.units_abandoned;
-        ++ctx.degrade.ladder_steps;
-        break;
-      }
-      ++ctx.degrade.pass_retries;
-      ++ctx.degrade.ladder_steps;
-      ++retries_taken;
-      pass_params.enum_params.cut_size =
-          std::max(2u, pass_params.enum_params.cut_size - 2);
-      pass_params.buffer_capacity =
-          std::max<std::size_t>(256, pass_params.buffer_capacity / 2);
-      if (ctx.degrade.memory_words / 2 >= p.min_memory_words) {
-        ctx.degrade.memory_words /= 2;
-        ++ctx.degrade.memory_halvings;
-      }
-    }
-    // Retries only count as recovered when the pass eventually succeeded;
-    // an abandoned pass's retries recovered nothing.
-    if (result) ctx.degrade.faults_recovered += retries_taken;
-    if (!result) continue;  // pass abandoned
+    const bool completed = ctx.ladder.run_unit(
+        [&] {
+          result = cut::run_checking_pass(miter, tasks, kPasses[i],
+                                          pass_params, &proved, &ctx.ladder);
+        },
+        [&] {
+          pass_params.enum_params.cut_size =
+              std::max(2u, pass_params.enum_params.cut_size - 2);
+          pass_params.buffer_capacity =
+              std::max<std::size_t>(256, pass_params.buffer_capacity / 2);
+        });
+    if (!completed) continue;  // pass abandoned
     proved = result->proved;
     SIMSWEEP_LOG_INFO("L pass %u: %zu proved (%zu cut checks, %zu flushes)",
                       i + 1, result->stats.proved, result->stats.checks,
                       result->stats.flushes);
     publish_pass_stats(ctx, i, result->stats);
-    // Fold the pass's internal flush-ladder activity into the run state.
-    // Halvings count as recovered only when their flush succeeded (the
-    // halvings_recovered subset); flushes that halved and still abandoned
-    // their checks recovered nothing.
-    if (result->stats.ladder_steps > 0) {
-      ctx.degrade.ladder_steps += result->stats.ladder_steps;
-      ctx.degrade.memory_halvings += result->stats.ladder_steps;
-      ctx.degrade.faults_recovered += result->stats.halvings_recovered;
-      for (std::size_t h = 0; h < result->stats.ladder_steps; ++h)
-        if (ctx.degrade.memory_words / 2 >= p.min_memory_words)
-          ctx.degrade.memory_words /= 2;
-    }
-    ctx.degrade.units_abandoned += result->stats.checks_abandoned;
-    if (result->stats.deadline_expired) {
-      phase_expired = true;
-      ++ctx.degrade.deadline_expiries;
-    }
+    phase_expired = result->stats.deadline_expired;
     // Paper §V: disable passes found ineffective on this case.
     if (p.adaptive_passes && result->stats.proved == 0)
       ctx.active_passes[i] = false;

@@ -57,7 +57,7 @@ bool run_po_phase(EngineContext& ctx) {
     return true;
   }
 
-  if (ctx.degrade.window_merging) {
+  if (ctx.ladder.state().window_merging) {
     window::MergeStats ms;
     windows = window::merge_windows(miter, std::move(windows), k_s, &ms);
     publish_merge_stats(ctx, ms);
@@ -72,6 +72,7 @@ bool run_po_phase(EngineContext& ctx) {
   // to the undecided path instead of cancelling the run.
   sim.stop = p.stop.child(p.phase_time_limit);
   sim.obs = ctx.obs;
+  sim.ledger = ctx.ledger;
 
   aig::SubstitutionMap subst(miter.num_nodes());
   std::size_t proved = 0;
@@ -81,10 +82,9 @@ bool run_po_phase(EngineContext& ctx) {
     std::vector<window::Window> batch(
         std::make_move_iterator(windows.begin() + lo),
         std::make_move_iterator(windows.begin() + hi));
-    const LadderOutcome lo_result =
-        run_batch_with_ladder(ctx, miter, std::move(batch), sim);
-    if (lo_result.cancelled) break;  // outcomes invalid; stop proving POs
-    const exhaustive::BatchResult& result = lo_result.result;
+    const exhaustive::BatchResult result =
+        ctx.ladder.run_batch(miter, std::move(batch), sim);
+    if (result.cancelled) break;  // outcomes invalid; stop proving POs
     for (const auto& [tag, status] : result.outcomes) {
       if (status == exhaustive::ItemStatus::kProved) {
         miter.set_po(tag, aig::kLitFalse);
@@ -99,7 +99,8 @@ bool run_po_phase(EngineContext& ctx) {
         return false;
       }
     }
-    if (lo_result.deadline_expired) break;  // remaining POs stay unproved
+    if (result.failure == exhaustive::BatchFailure::kDeadline)
+      break;  // remaining POs stay unproved
   }
 
   ctx.stats.pos_proved += proved;

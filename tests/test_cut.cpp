@@ -330,8 +330,8 @@ TEST(CheckingPass, OversizedGroupIsSplitAcrossFlushes) {
 
 TEST(CheckingPassDetail, ExpiredDeadlineFlushCountsAbandonedChecks) {
   // S4 regression: a flush whose exhaustive batch hits the deadline drops
-  // its in-flight windows — that loss must surface as checks_abandoned,
-  // not silently vanish behind deadline_expired.
+  // its in-flight windows — that loss must surface in the ladder's
+  // units_abandoned, not silently vanish behind deadline_expired.
   Aig a(6);
   const Lit f = a.add_and(a.pi_lit(0), a.pi_lit(1));
   const Lit g = a.add_or(a.pi_lit(2), a.pi_lit(3));
@@ -354,11 +354,12 @@ TEST(CheckingPassDetail, ExpiredDeadlineFlushCountsAbandonedChecks) {
   PassParams params;
   params.sim_params.stop =
       fault::StopToken().until(fault::StopToken::now_plus(-1.0));
-  std::size_t sim_memory = params.sim_params.memory_words;
+  exhaustive::Ladder ladder(params.sim_params.memory_words);
   PassStats stats;
-  detail::flush_buffer(a, tasks, buffer, proved, params, sim_memory, stats);
+  detail::flush_buffer(a, tasks, buffer, proved, params, ladder, stats);
   EXPECT_TRUE(stats.deadline_expired);
-  EXPECT_EQ(stats.checks_abandoned, 1u);
+  EXPECT_EQ(ladder.state().units_abandoned, 1u);
+  EXPECT_EQ(ladder.state().deadline_expiries, 1u);
   EXPECT_EQ(proved[0], 0u);
   EXPECT_TRUE(buffer.empty());
 
@@ -367,15 +368,14 @@ TEST(CheckingPassDetail, ExpiredDeadlineFlushCountsAbandonedChecks) {
   std::vector<detail::BufEntry> buffer2{detail::BufEntry{0, cut}};
   std::vector<std::uint8_t> proved2(1, 0);
   PassParams params2;
-  std::size_t sim_memory2 = params2.sim_params.memory_words;
+  exhaustive::Ladder ladder2(params2.sim_params.memory_words);
   PassStats stats2;
-  detail::flush_buffer(a, tasks, buffer2, proved2, params2, sim_memory2,
-                       stats2);
+  detail::flush_buffer(a, tasks, buffer2, proved2, params2, ladder2, stats2);
   EXPECT_FALSE(stats2.deadline_expired);
-  EXPECT_EQ(stats2.checks_abandoned, 0u);
+  EXPECT_EQ(ladder2.state().units_abandoned, 0u);
   EXPECT_EQ(proved2[0], 1u);
-  EXPECT_EQ(stats2.halvings_recovered, 0u);
-  EXPECT_EQ(stats2.flushes_abandoned, 0u);
+  EXPECT_EQ(ladder2.state().faults_recovered, 0u);
+  EXPECT_EQ(ladder2.state().ladder_steps, 0u);
 }
 
 }  // namespace

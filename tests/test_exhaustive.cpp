@@ -10,6 +10,8 @@
 #include <map>
 
 #include "aig/aig_analysis.hpp"
+#include "exhaustive/ladder.hpp"
+#include "fault/fault.hpp"
 #include "test_util.hpp"
 #include "window/window_merge.hpp"
 
@@ -295,6 +297,105 @@ TEST(Exhaustive, CancellationReturnsCancelled) {
   p.stop = fault::StopToken(&cancel);
   const BatchResult r = check_batch(a, {std::move(*w)}, p);
   EXPECT_TRUE(r.cancelled);
+}
+
+// ---------------------------------------------------------------------------
+// Degradation ladder (DESIGN.md §2.4).
+// ---------------------------------------------------------------------------
+
+/// Expected ladder counters of one batch run.
+struct LadderCounts {
+  std::uint64_t halvings, splits, recovered, abandoned, steps;
+  std::size_t outcomes;
+};
+
+/// A batch of `num_windows` windows with `items_per_window` equivalent
+/// pairs each, over the 4 PIs of `a`: multi-item windows are the shape of
+/// a merged P/G batch, single-item windows the shape of a cut flush.
+std::vector<window::Window> ladder_batch(Aig& a, std::size_t num_windows,
+                                         std::size_t items_per_window) {
+  std::vector<window::Window> windows;
+  std::uint32_t tag = 0;
+  for (std::size_t w = 0; w < num_windows; ++w) {
+    std::vector<window::CheckItem> items;
+    for (std::size_t i = 0; i < items_per_window; ++i, ++tag) {
+      const Lit x = a.pi_lit(tag % 4), y = a.pi_lit((tag + 1) % 4);
+      const Lit f = a.add_and(x, y);
+      const Lit g = a.add_and(a.add_or(x, y), f);  // == f
+      items.push_back(window::CheckItem{f, g, tag});
+    }
+    auto win = window::build_window(a, all_pis(a), std::move(items));
+    EXPECT_TRUE(win);
+    if (win) windows.push_back(std::move(*win));
+  }
+  return windows;
+}
+
+void expect_ladder(std::size_t num_windows, std::size_t items_per_window,
+                   const fault::FaultPlan& plan, const LadderCounts& want) {
+  Aig a(4);
+  std::vector<window::Window> windows =
+      ladder_batch(a, num_windows, items_per_window);
+  // M = 2^16 floored at 2^10 with 3 retries: the batch may halve 3 times
+  // (to 2^13), its first split window 3 more (to 2^10, the floor).
+  Ladder ladder(std::size_t{1} << 16, true, 3, std::size_t{1} << 10);
+  fault::ScopedFaultPlan scoped(plan);
+  const BatchResult out = ladder.run_batch(a, std::move(windows), {});
+  const DegradeState& s = ladder.state();
+  EXPECT_FALSE(out.cancelled);
+  EXPECT_EQ(out.failure == BatchFailure::kNone, want.abandoned == 0);
+  EXPECT_EQ(out.outcomes.size(), want.outcomes);
+  for (const auto& [tag, status] : out.outcomes)
+    EXPECT_EQ(status, ItemStatus::kProved);
+  EXPECT_EQ(s.memory_halvings, want.halvings);
+  EXPECT_EQ(s.memory_words, (std::size_t{1} << 16) >> want.halvings);
+  EXPECT_EQ(s.batch_splits, want.splits);
+  EXPECT_EQ(s.faults_recovered, want.recovered);
+  EXPECT_EQ(s.units_abandoned, want.abandoned);
+  EXPECT_EQ(s.ladder_steps, want.steps);
+  EXPECT_EQ(s.deadline_expiries, 0u);
+}
+
+TEST(Ladder, OnePolicyForMergedBatchesAndCutFlushes) {
+  const char* site = fault::sites::kExhaustiveSimtAlloc;
+  const fault::FaultPlan none;
+  fault::FaultPlan first_two;
+  first_two.on_hit(site, 1, 2);
+  fault::FaultPlan first_five;
+  first_five.on_hit(site, 1, 5);
+  fault::FaultPlan every;
+  every.on_hit(site, 1, /*fires=*/0);  // unlimited
+  // {num_windows, items_per_window}: a merged P/G batch, a cut flush.
+  const std::pair<std::size_t, std::size_t> shapes[] = {{3, 2}, {5, 1}};
+  for (const auto& [n, k] : shapes) {
+    SCOPED_TRACE(testing::Message() << n << " windows x " << k << " items");
+    // Fault-free: the ladder is invisible.
+    expect_ladder(n, k, none, {0, 0, 0, 0, 0, n * k});
+    // Two fires: two halvings, then the batch completes, so both count
+    // as recovered.
+    expect_ladder(n, k, first_two, {2, 0, 2, 0, 2, n * k});
+    // Five fires: 3 halvings and a split; the first window halves once
+    // more and completes, so all 5 backoffs count as recovered.
+    expect_ladder(n, k, first_five, {4, 1, 5, 0, 5, n * k});
+    // Every hit fires: 3 halvings, one split, 3 more halvings for the
+    // first window, then every window is abandoned — one step each — and
+    // nothing recovered.
+    expect_ladder(n, k, every, {6, 1, 0, n, 6 + 1 + n, 0});
+  }
+}
+
+TEST(Ladder, ExpiredDeadlineDropsTheBatchUnproved) {
+  Aig a(4);
+  std::vector<window::Window> windows = ladder_batch(a, 3, 1);
+  Ladder ladder(std::size_t{1} << 16);
+  Params p;
+  p.stop = fault::StopToken().until(fault::StopToken::now_plus(-1.0));
+  const BatchResult out = ladder.run_batch(a, std::move(windows), p);
+  EXPECT_EQ(out.failure, BatchFailure::kDeadline);
+  EXPECT_TRUE(out.outcomes.empty());
+  EXPECT_EQ(ladder.state().deadline_expiries, 1u);
+  EXPECT_EQ(ladder.state().units_abandoned, 3u);
+  EXPECT_EQ(ladder.state().ladder_steps, 0u);  // deadlines are not retried
 }
 
 }  // namespace

@@ -339,6 +339,9 @@ TEST(FaultRecovery, ExhaustedRetriesAbandonToUndecidedNeverUnsound) {
   EXPECT_NE(r.verdict, Verdict::kNotEquivalent);  // soundness
   EXPECT_GT(scoped.fires(fault::sites::kExhaustiveSimtAlloc), 0u);
   EXPECT_GT(r.report.count(obs::metric::kDegradeUnitsAbandoned), 0u);
+  // S3: no batch ever completed, so no halving or split recovered
+  // anything.
+  EXPECT_EQ(r.report.count(obs::metric::kFaultsRecovered), 0u);
   // The abandoned residue remains in the miter for a downstream checker.
   if (r.verdict == Verdict::kUndecided) EXPECT_GT(r.reduced.num_ands(), 0u);
 }
@@ -376,7 +379,8 @@ TEST(Governor, SharedLedgerIsChargedAcrossRuns) {
 TEST(Governor, PhaseDeadlineExpiryRoutesToUndecided) {
   // An immediately-expiring per-phase deadline: every phase gives up its
   // remaining work. The verdict is undecided (sound), the process never
-  // aborts, and the expiries are recorded.
+  // aborts, and the expiries and the windows they dropped (S4) are
+  // recorded.
   const aig::Aig a = gen::array_multiplier(4);
   const aig::Aig b = gen::wallace_multiplier(4);
   engine::EngineParams p = small_engine();
@@ -384,6 +388,7 @@ TEST(Governor, PhaseDeadlineExpiryRoutesToUndecided) {
   const engine::EngineResult r = engine::SimCecEngine(p).check(a, b);
   EXPECT_NE(r.verdict, Verdict::kNotEquivalent);
   EXPECT_GT(r.report.count(obs::metric::kDegradeDeadlineExpiries), 0u);
+  EXPECT_GT(r.report.count(obs::metric::kDegradeUnitsAbandoned), 0u);
 }
 
 // ---------------------------------------------------------------------------
