@@ -4,14 +4,17 @@
 /// flow (portfolio.hpp) and the snapshot manager (checkpoint.hpp),
 /// DESIGN.md §2.8.
 ///
-/// checked_combined_check_miter() wraps combined_check_miter() with
+/// checked_combined_check_miter() runs the combined flow's two steps
+/// (portfolio::detail::run_engine_chain, then run_sat_fallback) with
 ///   - checkpoint hooks on the engine (phase boundaries) and the SAT
-///     sweeper (round barriers), throttled by checkpoint_interval;
+///     sweeper (round barriers), throttled by checkpoint_interval. The
+///     engine chain folds its totals into every boundary view; sweep
+///     snapshots carry the finished chain's stats;
 ///   - a resume path: a loadable snapshot of the same run fingerprint
-///     restarts the flow from the captured boundary — engine snapshots
-///     re-enter the engine on the reduced miter with the accumulated
-///     pattern bank and degraded-ladder state, sweep snapshots skip the
-///     engine entirely and replay the sweep journal;
+///     is converted back into flow state — engine snapshots run both
+///     steps on the reduced miter with the accumulated pattern bank,
+///     degraded-ladder state and their stats as the chain's base, sweep
+///     snapshots run only the fallback on their residue and journal;
 ///   - budget restoration: the snapshot's elapsed wall-clock is charged
 ///     against engine.time_limit, so a restarted run finishes inside the
 ///     original combined budget instead of restarting the clock;

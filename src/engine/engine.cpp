@@ -87,8 +87,9 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
       params_.registry != nullptr ? *params_.registry : local_registry;
   ctx.obs = &registry;
 
-  EngineResult result;
-  auto finish = [&](Verdict verdict) {
+  // Fills the "as of now" stats (final size, times), so a checkpoint view
+  // obeys P + G + L + other == total just like the finished run.
+  auto stamp_stats = [&] {
     ctx.stats.final_ands = ctx.miter.num_ands();
     ctx.stats.total_seconds = total.seconds();
     // Everything outside the three phase timers: simulation init, EC
@@ -97,6 +98,11 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
         0.0, ctx.stats.total_seconds -
                  (ctx.stats.po_seconds + ctx.stats.global_seconds +
                   ctx.stats.local_seconds));
+  };
+
+  EngineResult result;
+  auto finish = [&](Verdict verdict) {
+    stamp_stats();
     publish_engine_stats(registry, ctx.stats);
     parallel::ThreadPool::global().publish(registry);
     // Fault & degradation sections (DESIGN.md §2.4). Published even when
@@ -156,6 +162,7 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
   // and must never change the verdict.
   auto offer_checkpoint = [&](const char* boundary) {
     if (!params_.checkpoint_hook) return;
+    stamp_stats();
     EngineCheckpointView view;
     view.miter = &ctx.miter;
     view.bank = ctx.bank ? &*ctx.bank : nullptr;

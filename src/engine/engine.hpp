@@ -50,6 +50,8 @@ struct EngineStats;
 struct EngineCheckpointView {
   const aig::Aig* miter = nullptr;           ///< current reduced miter
   const sim::PatternBank* bank = nullptr;    ///< null before first random sim
+  /// As of this boundary: final_ands, total_seconds and other_seconds are
+  /// filled the way a run that stopped here would report them.
   const EngineStats* stats = nullptr;
   const exhaustive::DegradeState* degrade = nullptr;
   const char* boundary = "";  ///< "P", "G", "L" or "G+" (escalated global)
@@ -295,8 +297,8 @@ bool run_local_phase(EngineContext& ctx);
 /// of attempts reports work and time totals across the whole chain:
 /// counters and per-phase seconds accumulate, `initial_ands`/`pos_total`
 /// keep the FIRST attempt's view of the original miter, and `final_ands`
-/// stays `next`'s (the latest reduction). Used by the portfolio's
-/// rewriting-interleaved engine loop.
+/// stays `next`'s (the latest reduction). Used by the combined flow's
+/// engine chain (rewriting re-runs and resumed attempts).
 void accumulate_attempt_stats(EngineStats& next, const EngineStats& prev);
 
 /// Publishes EngineStats as `engine.*` gauges (set semantics — the last

@@ -1,6 +1,7 @@
 #include "portfolio/portfolio.hpp"
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -54,11 +55,8 @@ class VerdictBox {
   std::atomic<bool> cancel_{false};
 };
 
-}  // namespace
-
 /// SAT-sweeper fallback stats under `sat_sweeper.*` (gauges, set
-/// semantics: one sweep per combined run at most). Namespace-scope so the
-/// ckpt resume wrapper can republish after a sweep-stage resume.
+/// semantics: one sweep per combined run at most).
 void publish_sweeper_stats(obs::Registry& r, bool used,
                            const sweep::SweeperStats& s, double seconds) {
   r.set(obs::metric::kSweeperUsed, used ? 1.0 : 0.0);
@@ -94,38 +92,38 @@ void publish_sweeper_stats(obs::Registry& r, bool used,
   }
 }
 
-CombinedResult combined_check_miter(const aig::Aig& miter,
-                                    const CombinedParams& params) {
-  Timer total;
-  CombinedResult result;
+}  // namespace
 
-  // One registry for the whole combined run: every engine attempt and the
-  // SAT fallback publish into it, so module counters accumulate across
-  // attempts and the final snapshot covers the complete flow.
-  obs::Registry local_registry;
+namespace detail {
+
+engine::EngineResult run_engine_chain(const aig::Aig& miter,
+                                      const CombinedParams& params,
+                                      const engine::EngineStats* base) {
   engine::EngineParams engine_params = params.engine;
-  obs::Registry& registry = engine_params.registry != nullptr
-                                ? *engine_params.registry
-                                : local_registry;
-  engine_params.registry = &registry;
-
-  // engine.time_limit is the wall-clock budget of the WHOLE combined
-  // flow: one absolute deadline, taken here, that every engine attempt
-  // (rewriting-interleaved re-runs included) and the SAT fallback share.
-  // No attempt restarts the clock, and a spent budget stops the rewrite
-  // loop and skips the sweeper instead of granting them slices past the
-  // deadline.
-  const fault::StopToken stop =
-      params.engine.stop.child(params.engine.time_limit);
-  engine_params.stop = stop;
-  engine_params.time_limit = 0;  // already in `stop`
-
-  // engine.attempts counts every engine entry of the combined flow (the
-  // first run plus each rewriting-interleaved re-run), so budget tests
-  // can pin the exact attempt count.
-  registry.add(obs::metric::kEngineAttempts, 1);
+  // The chain so far (resumed base plus finished attempts), folded into
+  // each attempt's result and every view the caller's hook sees.
+  std::optional<engine::EngineStats> done;
+  if (base != nullptr) done = *base;
+  if (params.engine.checkpoint_hook)
+    engine_params.checkpoint_hook =
+        [&](const engine::EngineCheckpointView& view) {
+          engine::EngineStats stats = *view.stats;
+          if (done) engine::accumulate_attempt_stats(stats, *done);
+          engine::EngineCheckpointView chain_view = view;
+          chain_view.stats = &stats;
+          params.engine.checkpoint_hook(chain_view);
+        };
   const engine::SimCecEngine eng(engine_params);
-  engine::EngineResult er = eng.check_miter(miter);
+  // engine.attempts counts every engine entry of the flow, so budget
+  // tests can pin the exact attempt count.
+  auto attempt = [&](aig::Aig m) {
+    params.engine.registry->add(obs::metric::kEngineAttempts, 1);
+    engine::EngineResult er = eng.check_miter(std::move(m));
+    if (done) engine::accumulate_attempt_stats(er.stats, *done);
+    done = er.stats;
+    return er;
+  };
+  engine::EngineResult er = attempt(miter);
 
   // §V item 3: rewrite the residue and re-run the engine. The rewritten
   // miter is functionally identical (opt passes are verified
@@ -134,45 +132,52 @@ CombinedResult combined_check_miter(const aig::Aig& miter,
   for (unsigned round = 0;
        params.interleave_rewriting && round < params.max_rewrite_rounds &&
        er.verdict == Verdict::kUndecided && er.reduced.num_ands() > 0 &&
-       !stop.stop_requested();
+       !params.engine.stop.stop_requested();
        ++round) {
     aig::Aig rewritten = opt::resyn_light(er.reduced);
     SIMSWEEP_LOG_INFO("interleaved rewriting: %zu -> %zu ANDs",
                       er.reduced.num_ands(), rewritten.num_ands());
-    registry.add(obs::metric::kEngineAttempts, 1);
-    engine::EngineResult next = eng.check_miter(std::move(rewritten));
-    engine::accumulate_attempt_stats(next.stats, er.stats);
-    er = std::move(next);
+    er = attempt(std::move(rewritten));
   }
-  // Republish the chain-merged stats last: each attempt set the engine.*
-  // gauges from its own stats, the merged totals must win.
-  engine::publish_engine_stats(registry, er.stats);
+  return er;
+}
 
-  result.engine_stats = er.stats;
-  result.engine_seconds = er.stats.total_seconds;
-  result.reduction_percent = er.stats.reduction_percent();
-  result.verdict = er.verdict;
-  result.cex = std::move(er.cex);
+CombinedResult run_sat_fallback(engine::EngineResult chain,
+                                const CombinedParams& params,
+                                const sweep::SweepResumeState* resume) {
+  obs::Registry& registry = *params.engine.registry;
+  const fault::StopToken& stop = params.engine.stop;
+  // Republish the chain totals last: each attempt set the engine.*
+  // gauges from its own stats, the folded totals must win.
+  engine::publish_engine_stats(registry, chain.stats);
 
-  if (er.verdict == Verdict::kUndecided && !stop.stop_requested()) {
+  CombinedResult result;
+  result.engine_stats = chain.stats;
+  result.engine_seconds = chain.stats.total_seconds;
+  result.reduction_percent = chain.stats.reduction_percent();
+  result.verdict = chain.verdict;
+  result.cex = std::move(chain.cex);
+
+  if (chain.verdict == Verdict::kUndecided && !stop.stop_requested()) {
     result.used_sat = true;
     sweep::SweeperParams sweeper_params = params.sweeper;
     // The fallback runs under the flow's token, capped by the caller's
     // sweeper.time_limit: it spends what is left of the flow deadline.
     sweeper_params.stop = stop.child(sweeper_params.time_limit);
     sweeper_params.time_limit = 0;
+    sweeper_params.resume = resume;
     result.sweeper_time_limit = sweeper_params.stop.bounded()
                                     ? sweeper_params.stop.remaining_seconds()
                                     : 0.0;
-    if (params.transfer_ec && er.bank &&
-        er.bank->num_pis() == er.reduced.num_pis())
-      sweeper_params.initial_bank = &*er.bank;
+    if (params.transfer_ec && chain.bank &&
+        chain.bank->num_pis() == chain.reduced.num_pis())
+      sweeper_params.initial_bank = &*chain.bank;
     // The engine published its own faults.injected delta in finish();
     // the sweep phase runs after, so its injected fires (parallel-path
     // degradation sites included) are accounted here as a second delta.
     const std::uint64_t sweep_fires_before = fault::fires_total();
     Timer sat_timer;
-    sweep::SweepResult sr = sweep::sweep_miter(er.reduced, sweeper_params);
+    sweep::SweepResult sr = sweep::sweep_miter(chain.reduced, sweeper_params);
     result.sat_seconds = sat_timer.seconds();
     registry.add(obs::metric::kFaultsInjected,
                  fault::fires_total() - sweep_fires_before);
@@ -185,8 +190,29 @@ CombinedResult combined_check_miter(const aig::Aig& miter,
   }
   publish_sweeper_stats(registry, result.used_sat, result.sweeper_stats,
                         result.sat_seconds);
+  return result;
+}
+
+}  // namespace detail
+
+CombinedResult combined_check_miter(const aig::Aig& miter,
+                                    const CombinedParams& params) {
+  Timer total;
+  // One registry for the whole flow: every engine attempt and the SAT
+  // fallback publish into it, so the final snapshot covers the flow.
+  obs::Registry local_registry;
+  CombinedParams flow = params;
+  if (flow.engine.registry == nullptr) flow.engine.registry = &local_registry;
+  // engine.time_limit is the budget of the WHOLE flow: one absolute
+  // deadline, taken here, that every engine attempt and the SAT fallback
+  // share. A spent budget stops the rewrite loop and skips the sweeper.
+  flow.engine.stop = params.engine.stop.child(params.engine.time_limit);
+  flow.engine.time_limit = 0;
+
+  CombinedResult result =
+      detail::run_sat_fallback(detail::run_engine_chain(miter, flow), flow);
   result.total_seconds = total.seconds();
-  result.report = registry.snapshot();
+  result.report = flow.engine.registry->snapshot();
   return result;
 }
 

@@ -70,7 +70,7 @@ struct CombinedResult {
   double sweeper_time_limit = 0;
   double total_seconds = 0;
   double reduction_percent = 0;  ///< "Reduced (%)" column analogue
-  bool used_sat = false;  ///< engine left an undecided residue
+  bool used_sat = false;  ///< the SAT fallback was entered
   /// Full metric snapshot of the run (engine attempts share one registry;
   /// SAT-sweeper fallback stats are published under `sat_sweeper.*`).
   /// Serialize with obs::to_json().
@@ -80,12 +80,30 @@ struct CombinedResult {
 CombinedResult combined_check_miter(const aig::Aig& miter,
                                     const CombinedParams& params = {});
 
-/// Publishes the SAT-sweeper fallback stats as `sat_sweeper.*` gauges
-/// (set semantics: at most one sweep per combined run). Exposed for the
-/// ckpt resume wrapper, which runs the sweeper directly — without
-/// re-entering the engine — when resuming a sweep-stage snapshot.
-void publish_sweeper_stats(obs::Registry& registry, bool used,
-                           const sweep::SweeperStats& stats, double seconds);
+namespace detail {
+
+// The combined flow's two steps: combined_check_miter() runs both, and a
+// checkpoint resume (ckpt/resume.hpp) enters at either one. Both read the
+// flow state from `params.engine`: `registry` must be set, and `stop` must
+// be the flow token with engine.time_limit folded in (and set to 0).
+
+/// The engine, then with interleave_rewriting its re-runs on the
+/// rewritten residue. The one place where attempt stats are folded: the
+/// result, and every view engine.checkpoint_hook sees, carry `base` (a
+/// resumed run's earlier work) plus every attempt so far.
+engine::EngineResult run_engine_chain(
+    const aig::Aig& miter, const CombinedParams& params,
+    const engine::EngineStats* base = nullptr);
+
+/// Builds the flow's result from the finished chain and, if it left the
+/// residue undecided before the deadline, SAT-sweeps it (replaying a
+/// sweep-stage snapshot's `resume` journal). Publishes the chain's
+/// engine.* totals and sat_sweeper.*; leaves total_seconds and report.
+CombinedResult run_sat_fallback(
+    engine::EngineResult chain, const CombinedParams& params,
+    const sweep::SweepResumeState* resume = nullptr);
+
+}  // namespace detail
 
 inline CombinedResult combined_check(const aig::Aig& a, const aig::Aig& b,
                                      const CombinedParams& params = {}) {

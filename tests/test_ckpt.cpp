@@ -355,6 +355,86 @@ TEST(CkptResume, KilledRunResumesToIdenticalVerdict) {
   EXPECT_EQ(leg2.combined.report.count(obs::metric::kCkptResumes), 1u);
   EXPECT_EQ(leg2.combined.report.count(obs::metric::kCkptPairsRestored),
             leg2.pairs_restored);
+  // The resumed chain's time identity holds as on a plain run: the
+  // snapshot's stats were taken "as of" their boundary.
+  const engine::EngineStats& es = leg2.combined.engine_stats;
+  EXPECT_NEAR(es.po_seconds + es.global_seconds + es.local_seconds +
+                  es.other_seconds,
+              es.total_seconds, 1e-6);
+}
+
+TEST(CkptResume, SweepStageResumeReportsTheEngineChainTotals) {
+  // A run resumed from its last snapshot — taken at a SAT-sweep round
+  // barrier — must report the engine chain of the uninterrupted run, not
+  // the chain as of its last engine boundary. With interleaved rewriting
+  // the snapshot must hold the whole chain, measured against the
+  // original miter, not the last attempt alone.
+  struct Case {
+    std::uint64_t seed;
+    bool interleave_rewriting;
+  };
+  for (const Case c : {Case{300, false}, Case{303, true}}) {
+    SCOPED_TRACE(testing::Message() << "seed " << c.seed << " rewriting "
+                                    << c.interleave_rewriting);
+    const aig::Aig a = testutil::random_aig(16, 900, 8, c.seed);
+    const aig::Aig b = opt::resyn_light(a);
+    const aig::Aig miter = aig::make_miter(a, b);
+
+    CheckpointedParams p;
+    p.combined.engine.enable_po_phase = false;
+    p.combined.engine.k_P = 5;
+    p.combined.engine.k_p = 3;
+    p.combined.engine.k_g = 3;
+    p.combined.engine.k_l = 3;
+    p.combined.engine.max_local_phases = 0;
+    p.combined.engine.escalate_global = false;
+    p.combined.sweeper.sim_words = 1;  // several sweep rounds
+    p.combined.transfer_ec = false;
+    p.combined.interleave_rewriting = c.interleave_rewriting;
+    p.checkpoint_path = temp_path("simsweep_ckpt_sweep_stage.ckpt");
+    p.checkpoint_interval = 0;
+    // Every snapshot, engine boundaries of a rewriting re-run included,
+    // holds chain totals that obey P + G + L + other == total.
+    std::size_t writes = 0;
+    p.on_write = [&] {
+      const std::vector<std::uint8_t> bytes = read_bytes(p.checkpoint_path);
+      const std::optional<Snapshot> s = parse(bytes.data(), bytes.size());
+      ASSERT_TRUE(s.has_value());
+      const engine::EngineStats& es = s->engine_stats;
+      EXPECT_EQ(es.initial_ands, miter.num_ands()) << s->boundary;
+      EXPECT_NEAR(es.po_seconds + es.global_seconds + es.local_seconds +
+                      es.other_seconds,
+                  es.total_seconds, 1e-6)
+          << s->boundary;
+      ++writes;
+    };
+
+    const CheckpointedResult leg1 = checked_combined_check(a, b, p);
+    EXPECT_EQ(writes, leg1.checkpoint_writes);
+    ASSERT_EQ(leg1.combined.verdict, Verdict::kEquivalent);
+    ASSERT_TRUE(leg1.combined.used_sat);
+    EXPECT_EQ(leg1.combined.engine_stats.initial_ands, miter.num_ands());
+
+    const std::vector<std::uint8_t> bytes = read_bytes(p.checkpoint_path);
+    const std::optional<Snapshot> snap = parse(bytes.data(), bytes.size());
+    ASSERT_TRUE(snap.has_value());
+    ASSERT_EQ(snap->stage, Stage::kSweep);
+    EXPECT_EQ(snap->engine_stats.initial_ands, miter.num_ands());
+    EXPECT_EQ(snap->engine_stats.final_ands,
+              leg1.combined.engine_stats.final_ands);
+
+    const CheckpointedResult leg2 = checked_combined_check(a, b, p);
+    ASSERT_TRUE(leg2.resumed);
+    EXPECT_EQ(leg2.combined.verdict, leg1.combined.verdict);
+    const engine::EngineStats& s1 = leg1.combined.engine_stats;
+    const engine::EngineStats& s2 = leg2.combined.engine_stats;
+    EXPECT_EQ(s2.initial_ands, s1.initial_ands);
+    EXPECT_EQ(s2.final_ands, s1.final_ands);
+    EXPECT_EQ(s2.pos_total, s1.pos_total);
+    EXPECT_DOUBLE_EQ(leg2.combined.reduction_percent,
+                     leg1.combined.reduction_percent);
+    EXPECT_DOUBLE_EQ(s2.reduction_percent(), s1.reduction_percent());
+  }
 }
 
 TEST(CkptResume, WrongConfigurationSnapshotIsIgnored) {

@@ -336,6 +336,7 @@ TEST(Combined, OverspentSweepSnapshotRunsNothing) {
       resume_overspent(ckpt::Stage::kSweep, "simsweep_overspent_sweep.ckpt");
   ASSERT_TRUE(r.resumed);
   EXPECT_EQ(r.combined.verdict, Verdict::kUndecided);
+  EXPECT_FALSE(r.combined.used_sat);
   EXPECT_EQ(r.combined.sweeper_stats.sat_calls, 0u);
   EXPECT_DOUBLE_EQ(r.combined.sweeper_time_limit, 0.0);
 }
