@@ -67,9 +67,6 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
 
   // Resource governor (DESIGN.md §2.4): the memory ledger is either the
   // caller's (portfolio-shared budget) or a run-private one.
-  // Incremental simulation A/B lever (DESIGN.md §2.7): disabled, every
-  // sync() re-simulates the whole bank and rebuilds classes from scratch.
-  ctx.inc.set_enabled(params_.incremental_sim);
   std::optional<fault::MemoryLedger> local_ledger;
   if (params_.memory_ledger != nullptr)
     ctx.ledger = params_.memory_ledger;

@@ -84,12 +84,6 @@ struct EngineParams {
   bool enable_po_phase = true;
   bool enable_global_phase = true;
   std::array<bool, 3> local_passes{true, true, true};  ///< Table I passes
-  /// Incremental simulation & EC carry-over (DESIGN.md §2.7). Off =
-  /// pre-incremental behaviour — full re-simulation and a fresh class
-  /// build at every phase entry and refinement round (the A/B lever of
-  /// bench_incremental). The verdict is identical either way; only the
-  /// work to reach it differs.
-  bool incremental_sim = true;
 
   // --- Paper §V (Discussion) extensions. ---
   /// Distance-1 CEX simulation [Mishchenko et al., ICCAD'06]: every

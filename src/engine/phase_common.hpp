@@ -12,6 +12,7 @@
 #include "obs/metric_names.hpp"
 #include "sim/ec_manager.hpp"
 #include "sim/incremental.hpp"
+#include "sim/quality_patterns.hpp"
 #include "window/window_merge.hpp"
 
 namespace simsweep::engine::detail {
@@ -76,6 +77,28 @@ inline const aig::LevelSchedule* level_schedule(EngineContext& ctx) {
   if (!ctx.schedule || !ctx.schedule->matches(ctx.miter))
     ctx.schedule = aig::build_level_schedule(ctx.miter);
   return &*ctx.schedule;
+}
+
+/// Bank entry of the first phase that simulates (G or L): a resumed run's
+/// bank (DESIGN.md §2.8: the crashed run's random init + CEXs re-derive
+/// its classes), else quality patterns when enabled, else a random bank.
+/// Later phases keep the bank they inherit.
+inline void ensure_bank(EngineContext& ctx) {
+  if (ctx.bank) return;
+  const EngineParams& p = ctx.params;
+  if (p.initial_bank != nullptr &&
+      p.initial_bank->num_pis() == ctx.miter.num_pis()) {
+    ctx.bank = *p.initial_bank;
+  } else if (p.quality_patterns) {
+    sim::QualityParams qp;
+    qp.base_words = p.sim_words;
+    qp.max_words = p.sim_words + 4;
+    qp.seed = p.seed;
+    ctx.bank = sim::quality_patterns(ctx.miter, qp);
+  } else {
+    ctx.bank =
+        sim::PatternBank::random(ctx.miter.num_pis(), p.sim_words, p.seed);
+  }
 }
 
 /// Publishes the full re-simulations one IncrementalState::sync() decided

@@ -18,7 +18,6 @@
 #include "obs/metric_names.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/ec_manager.hpp"
-#include "sim/quality_patterns.hpp"
 #include "window/window_merge.hpp"
 
 namespace simsweep::engine::detail {
@@ -30,23 +29,7 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
 
   const aig::SupportInfo supports = aig::compute_supports(miter, k_g);
 
-  if (!ctx.bank) {
-    if (p.initial_bank != nullptr &&
-        p.initial_bank->num_pis() == miter.num_pis()) {
-      // Resume entry (DESIGN.md §2.8): the crashed run's accumulated
-      // patterns (random init + CEXs) re-derive its equivalence classes.
-      ctx.bank = *p.initial_bank;
-    } else if (p.quality_patterns) {
-      sim::QualityParams qp;
-      qp.base_words = p.sim_words;
-      qp.max_words = p.sim_words + 4;
-      qp.seed = p.seed;
-      ctx.bank = sim::quality_patterns(miter, qp);
-    } else {
-      ctx.bank =
-          sim::PatternBank::random(miter.num_pis(), p.sim_words, p.seed);
-    }
-  }
+  ensure_bank(ctx);
   // Incremental entry (DESIGN.md §2.7): the engine-wide signature/class
   // state is brought up to date with (miter, bank) — a cheap delta when
   // state was carried from the previous phase, a full re-simulation on

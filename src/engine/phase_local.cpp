@@ -68,16 +68,7 @@ bool run_local_phase(EngineContext& ctx) {
   const EngineParams& p = ctx.params;
   aig::Aig& miter = ctx.miter;
 
-  if (!ctx.bank) {
-    // Resume entry (DESIGN.md §2.8) mirrors phase_global.cpp: a restored
-    // bank takes precedence over a fresh random one.
-    if (p.initial_bank != nullptr &&
-        p.initial_bank->num_pis() == miter.num_pis())
-      ctx.bank = *p.initial_bank;
-    else
-      ctx.bank =
-          sim::PatternBank::random(miter.num_pis(), p.sim_words, p.seed);
-  }
+  ensure_bank(ctx);
   // Incremental entry (DESIGN.md §2.7): classes carried over from the
   // previous phase's rebuild (or delta-refined) instead of a full
   // re-simulation + fresh build; EC stats publish as deltas since the

@@ -21,7 +21,7 @@ namespace {
 aig::Aig base_circuit(const std::string& family, std::uint64_t seed) {
   // Widths are chosen so each family lands in the same engine regime as
   // in the paper's Table II / Fig. 6 (with our CPU-scaled thresholds
-  // k_P=24, k_p=k_g=14; see bench/bench_common.hpp):
+  // k_P=24, k_p=k_g=14; see bench/paper_tables.cpp):
   //   - log2, sin, ac97: PO supports fit k_P -> solved by the P phase;
   //   - multiplier, square: supports exceed k_P but internal pairs are
   //     small-support -> G/L phases do the work;

@@ -249,6 +249,8 @@ CecService::Step CecService::dispatch_one() {
       ++running_;
       running_peak_ = std::max(running_peak_, running_);
       job->result.start_order = ++dispatch_seq_;
+      if (!expired && params_.cache_capacity > 0)
+        unprobed_.insert(job->result.start_order);
       job->result.queue_seconds = job->queued_timer.seconds();
     }
   }
@@ -300,32 +302,40 @@ void CecService::run_job(Job& job, std::uint64_t stake) {
           std::lock_guard lk(wake_mutex_);
           epoch = wake_epoch_;
         }
-        bool coalesce = false;
+        bool park = true;
+        bool probed = false;  // took our turn (see unprobed_) just now
         {
           common::RankedMutexLock lock(mu_, common::lock_ranks::service);
-          // Injection site `service.cache` (DESIGN.md §2.4/§2.9): a fired
-          // lookup behaves as a miss — no cached entry, no coalescing —
-          // and the job recomputes, which is always sound. The slot stays
-          // with its real owner, so `computing` is deliberately not set.
-          if (SIMSWEEP_FAULT_POINT(fault::sites::kServiceCache)) break;
-          const auto it = cache_.find(fp);
-          if (it != cache_.end()) {
-            entry = it->second;
-            hit = true;
-            break;
+          if (unprobed_.empty() ||
+              *unprobed_.begin() >= job.result.start_order) {
+            probed = unprobed_.erase(job.result.start_order) > 0;
+            // Injection site `service.cache` (DESIGN.md §2.4/§2.9): a
+            // fired lookup behaves as a miss — no cached entry, no
+            // coalescing — and the job recomputes, which is always sound.
+            // The slot stays with its real owner, so `computing` is
+            // deliberately not set.
+            const bool faulted =
+                SIMSWEEP_FAULT_POINT(fault::sites::kServiceCache);
+            if (!faulted) {
+              const auto it = cache_.find(fp);
+              if (it != cache_.end()) {
+                entry = it->second;
+                hit = true;
+              } else {
+                computing = inflight_.insert(fp).second;  // our miss to fill
+              }
+            }
+            park = !faulted && !hit && !computing;
           }
-          if (inflight_.insert(fp).second) {
-            computing = true;  // our miss to fill
-            break;
-          }
-          coalesce = true;
         }
-        if (!coalesce) break;
-        // Identical job in flight on another worker: park until a
-        // completion bumps the epoch, then re-probe — the duplicate is
-        // served from the entry that run stores (or takes over the slot
-        // if that run could not cache a decisive verdict). Same
-        // epoch-before-probe protocol as wait()/worker_loop().
+        if (probed) notify_all();  // the next-dispatched job's turn
+        if (!park) break;
+        // Identical job in flight on another worker (or an earlier-
+        // dispatched job yet to probe): park until a completion bumps the
+        // epoch, then re-probe — the duplicate is served from the entry
+        // that run stores (or takes over the slot if that run could not
+        // cache a decisive verdict). Same epoch-before-probe protocol as
+        // wait()/worker_loop().
         std::unique_lock lk(wake_mutex_);
         wake_cv_.wait_for(lk, std::chrono::milliseconds(50),
                           [&] { return wake_epoch_ != epoch; });
@@ -367,12 +377,14 @@ void CecService::run_job(Job& job, std::uint64_t stake) {
     res.error = "unknown failure";
     registry_->add(obs::metric::kServiceJobsFailed, 1);
   }
-  if (computing) {
+  {
     // Hand the slot back whether or not a decisive verdict was cached —
     // coalesced duplicates re-probe on the completion notification and
-    // either hit the stored entry or take the slot over themselves.
+    // either hit the stored entry or take the slot over themselves. A
+    // job that failed before its probe gives up its turn here.
     common::RankedMutexLock lock(mu_, common::lock_ranks::service);
-    inflight_.erase(fp);
+    unprobed_.erase(job.result.start_order);
+    if (computing) inflight_.erase(fp);
   }
   res.run_seconds = run_timer.seconds();
   finish_job(job, stake);

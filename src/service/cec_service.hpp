@@ -203,6 +203,11 @@ class CecService {
   std::vector<std::uint64_t> cache_fifo_ SIMSWEEP_GUARDED_BY(mu_);
   /// Fingerprints being computed right now — duplicates coalesce on them.
   std::set<std::uint64_t> inflight_ SIMSWEEP_GUARDED_BY(mu_);
+  /// Start orders of dispatched jobs that have not probed the cache yet.
+  /// A job probes (or claims an in-flight slot) only when no earlier-
+  /// dispatched job is still here, so of two identical jobs the first
+  /// dispatched computes even when its inputs load more slowly.
+  std::set<std::uint64_t> unprobed_ SIMSWEEP_GUARDED_BY(mu_);
   std::uint64_t dispatch_seq_ SIMSWEEP_GUARDED_BY(mu_) = 0;
   std::size_t running_ SIMSWEEP_GUARDED_BY(mu_) = 0;
   std::size_t queued_peak_ SIMSWEEP_GUARDED_BY(mu_) = 0;

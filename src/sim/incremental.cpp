@@ -66,7 +66,7 @@ EcManager& IncrementalState::sync(const aig::Aig& aig,
                                   const PatternBank& bank,
                                   const aig::LevelSchedule* schedule) {
   const std::uint64_t lo = bank.start_index();
-  if (enabled_ && valid_ && num_nodes_ == aig.num_nodes() &&
+  if (valid_ && num_nodes_ == aig.num_nodes() &&
       lo >= covered_start_) {
     const std::uint64_t drop = lo - covered_start_;
     if (drop <= sigs_.num_words) {
@@ -86,23 +86,20 @@ EcManager& IncrementalState::sync(const aig::Aig& aig,
       }
     }
   }
-  // Full path: first sync, disabled state, or an unbridgeable gap
+  // Full path: first sync or an unbridgeable gap
   // (rebuild fallback, bank rewound/replaced).
   sigs_ = simulate(aig, bank, schedule);
   ec_.build(aig, sigs_);
   num_nodes_ = aig.num_nodes();
   covered_start_ = lo;
-  valid_ = enabled_;
+  valid_ = true;
   ++stats_.full_resims;
   return ec_;
 }
 
 bool IncrementalState::apply_rebuild(const aig::Aig& new_aig,
                                      const std::vector<aig::Lit>& lit_map) {
-  if (!enabled_ || !valid_) {
-    valid_ = false;
-    return false;
-  }
+  if (!valid_) return false;
   bool ok = lit_map.size() == num_nodes_ &&
             !SIMSWEEP_FAULT_POINT(fault::sites::kSimCarryover);
   std::optional<Signatures> translated;

@@ -82,20 +82,9 @@ void drop_front_words(Signatures& sigs, std::size_t n);
 
 /// The engine's per-run incremental simulation state: one Signatures
 /// matrix + one EcManager, kept in sync with (miter, bank) via sync(),
-/// carried through rebuilds via apply_rebuild(). Disabled state (see
-/// set_enabled) degenerates to "full re-simulate + fresh build on every
-/// sync", which is exactly the pre-incremental engine behaviour — the A/B
-/// lever for bench_incremental.
+/// carried through rebuilds via apply_rebuild().
 class IncrementalState {
  public:
-  /// Master switch (EngineParams::incremental_sim). Disabling invalidates
-  /// the cache so every sync is a full re-simulation + fresh build.
-  void set_enabled(bool enabled) {
-    enabled_ = enabled;
-    if (!enabled) valid_ = false;
-  }
-  bool enabled() const { return enabled_; }
-
   /// Whether the cached state is usable for the next sync's delta path.
   bool valid() const { return valid_; }
   /// Forces the next sync() onto the full re-simulation path.
@@ -124,7 +113,6 @@ class IncrementalState {
   const CarryStats& stats() const { return stats_; }
 
  private:
-  bool enabled_ = true;
   bool valid_ = false;
   std::size_t num_nodes_ = 0;  ///< node count of the AIG the cache is for
   /// Stream index (PatternBank::start_index units) of cached column 0.

@@ -191,21 +191,6 @@ TEST(IncrementalSim, SyncDeltaPathTracksAppendsAndTruncations) {
             to_tuples(fresh.candidate_pairs()));
 }
 
-TEST(IncrementalSim, DisabledStateAlwaysFullySimulates) {
-  const Aig a = testutil::random_aig(8, 150, 4, 51);
-  PatternBank bank = PatternBank::random(a.num_pis(), 3, 52);
-  IncrementalState inc;
-  inc.set_enabled(false);
-  inc.sync(a, bank);
-  append_random_columns(bank, 2, 53);
-  inc.sync(a, bank);
-  EXPECT_EQ(inc.stats().full_resims, 2u);
-  EXPECT_EQ(inc.stats().incremental_words, 0u);
-  EXPECT_FALSE(inc.valid());
-  const Signatures full = simulate(a, bank);
-  EXPECT_EQ(inc.signatures().words, full.words);
-}
-
 // ---------------------------------------------------------------------------
 // Rebuild carry-over (tentpole): translated rows == re-simulated rows.
 // ---------------------------------------------------------------------------
@@ -370,33 +355,6 @@ TEST(IncrementalSimFault, EngineSurvivesCarryoverFaultWithSoundVerdict) {
   EXPECT_GT(r.report.count(obs::metric::kDegradeLadderSteps), 0u);
   // The fallback re-simulations are visible next to the delta columns.
   EXPECT_GT(r.report.count(obs::metric::kPartialSimFullResims), 0u);
-}
-
-TEST(IncrementalSimEngine, AbLeverProducesIdenticalVerdicts) {
-  // incremental_sim on vs off must agree on the verdict (the A/B contract
-  // bench_incremental relies on), and the on-side must actually use the
-  // carry-over machinery on a multi-phase run.
-  const Aig a = gen::array_multiplier(4);
-  const Aig b = gen::wallace_multiplier(4);
-  engine::EngineParams p;
-  p.enable_po_phase = false;
-  p.k_P = 10;
-  p.k_p = 4;
-  p.k_g = 5;
-  p.k_l = 6;
-  p.memory_words = 1 << 16;
-  engine::EngineParams p_off = p;
-  p_off.incremental_sim = false;
-  const engine::EngineResult on = engine::SimCecEngine(p).check(a, b);
-  const engine::EngineResult off = engine::SimCecEngine(p_off).check(a, b);
-  EXPECT_EQ(on.verdict, off.verdict);
-  EXPECT_EQ(on.verdict, Verdict::kEquivalent);
-  EXPECT_GT(on.report.count(obs::metric::kPartialSimCarryClasses), 0u);
-  EXPECT_EQ(off.report.count(obs::metric::kPartialSimCarryClasses), 0u);
-  // Off pays a full re-simulation at every sync; on syncs mostly ride the
-  // carried state.
-  EXPECT_LT(on.report.count(obs::metric::kPartialSimFullResims),
-            off.report.count(obs::metric::kPartialSimFullResims));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "aig/aig_analysis.hpp"
+#include "aig/miter.hpp"
 #include "engine/engine.hpp"
 #include "opt/resyn.hpp"
 #include "test_util.hpp"
@@ -80,6 +81,33 @@ TEST(QualityPatterns, EngineFlagStaysSound) {
   p.quality_patterns = true;
   const engine::EngineResult r = engine::SimCecEngine(p).check(a, b);
   EXPECT_EQ(r.verdict, Verdict::kEquivalent);
+}
+
+TEST(QualityPatterns, LocalOnlyEngineEntersWithTheQualityBank) {
+  // With the G phase off the first L phase builds the bank; it must be
+  // the same quality bank the G phase would have built, not a plain
+  // random one.
+  const Aig a = testutil::random_aig(12, 300, 6, 502);
+  const Aig miter = aig::make_miter(a, opt::resyn_light(a));
+  engine::EngineParams p;
+  p.sim_words = 1;  // leaves quality_patterns room to add words
+  p.enable_po_phase = false;
+  p.enable_global_phase = false;
+  p.quality_patterns = true;
+  const engine::EngineResult r = engine::SimCecEngine(p).check_miter(miter);
+  ASSERT_TRUE(r.bank.has_value());
+
+  QualityParams qp;
+  qp.base_words = p.sim_words;
+  qp.max_words = p.sim_words + 4;
+  qp.seed = p.seed;
+  const PatternBank expected = quality_patterns(miter, qp);
+  ASSERT_GT(expected.num_words(), p.sim_words);  // not the random base
+  ASSERT_EQ(r.bank->num_pis(), expected.num_pis());
+  ASSERT_EQ(r.bank->num_words(), expected.num_words());
+  for (std::size_t w = 0; w < expected.num_words(); ++w)
+    for (unsigned pi = 0; pi < expected.num_pis(); ++pi)
+      EXPECT_EQ(r.bank->word(pi, w), expected.word(pi, w));
 }
 
 }  // namespace

@@ -10,11 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "aig/aig_analysis.hpp"
+#include "aig/aig_io.hpp"
 #include "aig/miter.hpp"
 #include "fault/fault.hpp"
 #include "gen/arith.hpp"
@@ -169,6 +173,44 @@ TEST(CecService, InflightDuplicatesCoalesceToOneComputation) {
   const obs::Snapshot m = svc.metrics();
   EXPECT_EQ(m.count(obs::metric::kServiceCacheMisses), 1u);
   EXPECT_EQ(m.count(obs::metric::kServiceCacheHits), 1u);
+}
+
+TEST(CecService, DuplicatesProbeTheCacheInDispatchOrder) {
+  // Job 0 loads its pair from AIGER files, job 1 carries the same pair in
+  // memory and so reaches the cache first unless probes are ordered. The
+  // earlier-dispatched job must compute and the later one hit its entry.
+  Aig a, b;
+  equivalent_pair(&a, &b);
+  const std::string stem = ::testing::TempDir() + "simsweep_probe_order_" +
+                           std::to_string(::getpid());
+  aig::write_aiger_file(a, stem + "_a.aig");
+  aig::write_aiger_file(b, stem + "_b.aig");
+  JobSpec from_files;
+  from_files.id = "files";
+  from_files.a_path = stem + "_a.aig";
+  from_files.b_path = stem + "_b.aig";
+  from_files.params = small_params();
+  // The in-memory copy is the files' own read-back, so both jobs build
+  // the same miter and share one fingerprint.
+  const JobSpec in_memory =
+      make_job(aig::read_aiger_file(from_files.a_path),
+               aig::read_aiger_file(from_files.b_path), "memory");
+
+  ServiceParams sp;
+  sp.max_concurrent_jobs = 2;
+  CecService svc(sp);
+  std::vector<JobSpec> jobs;
+  jobs.push_back(std::move(from_files));
+  jobs.push_back(in_memory);
+  const std::vector<JobResult> results = svc.run_batch(std::move(jobs));
+  std::remove((stem + "_a.aig").c_str());
+  std::remove((stem + "_b.aig").c_str());
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].error.empty()) << results[0].error;
+  EXPECT_FALSE(results[0].cache_hit);
+  EXPECT_TRUE(results[1].cache_hit);
+  EXPECT_EQ(results[1].verdict, Verdict::kEquivalent);
+  EXPECT_EQ(obs::to_json(results[1].report), obs::to_json(results[0].report));
 }
 
 TEST(CecService, AdmitFaultDegradesToQueuingNeverWrongVerdict) {
