@@ -1,8 +1,10 @@
 #include "ckpt/checkpoint.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "common/log.hpp"
 #include "fault/fault.hpp"
@@ -21,6 +23,20 @@ constexpr std::uint64_t kMaxPos = 1ull << 20;
 constexpr std::uint64_t kMaxBankWords = 1ull << 20;
 constexpr std::uint64_t kMaxBoundaryLen = 32;
 constexpr std::uint64_t kMaxRound = 1ull << 16;
+constexpr std::uint64_t kMaxMetrics = 1ull << 16;
+constexpr std::uint64_t kMaxMetricNameLen = 256;
+
+/// True iff `name` is a catalogued metric: a registered leaf or a name
+/// composed from a registered family prefix (DESIGN.md §2.6).
+bool catalogued_metric(std::string_view name) {
+  for (const char* leaf : obs::metric::kRegisteredMetrics)
+    if (name == leaf) return true;
+  for (const char* family : obs::metric::kMetricFamilies) {
+    const std::string_view prefix(family);
+    if (name.size() > prefix.size() && name.starts_with(prefix)) return true;
+  }
+  return false;
+}
 
 const std::uint32_t* crc_table() {
   static std::uint32_t table[256];
@@ -139,33 +155,18 @@ std::vector<std::uint8_t> serialize(const Snapshot& s) {
   w.f64(s.elapsed_seconds);
   w.str(s.boundary);
 
-  const engine::EngineStats& es = s.engine_stats;
-  w.f64(es.po_seconds);
-  w.f64(es.global_seconds);
-  w.f64(es.local_seconds);
-  w.f64(es.other_seconds);
-  w.f64(es.total_seconds);
-  w.u64(es.initial_ands);
-  w.u64(es.final_ands);
-  w.u64(es.pos_total);
-  w.u64(es.pos_proved);
-  w.u64(es.pairs_proved_global);
-  w.u64(es.pairs_proved_local);
-  w.u64(es.pairs_disproved);
-  w.u64(es.cex_count);
-  w.u64(es.local_phases);
-
-  const exhaustive::DegradeState& d = s.degrade;
-  w.u64(d.memory_words);
-  w.u8(d.window_merging ? 1 : 0);
-  w.u64(d.ladder_steps);
-  w.u64(d.memory_halvings);
-  w.u64(d.merge_fallbacks);
-  w.u64(d.batch_splits);
-  w.u64(d.deadline_expiries);
-  w.u64(d.units_abandoned);
-  w.u64(d.pass_retries);
-  w.u64(d.faults_recovered);
+  // Report: sorted metrics, each name + kind byte + its live value.
+  w.u32(static_cast<std::uint32_t>(s.report.metrics.size()));
+  for (const obs::Metric& m : s.report.metrics) {
+    w.str(m.name);
+    w.u8(static_cast<std::uint8_t>(m.kind));
+    if (m.kind == obs::MetricKind::kCounter)
+      w.u64(m.count);
+    else
+      w.f64(m.value);
+  }
+  w.u64(s.memory_words);
+  w.u8(s.window_merging ? 1 : 0);
 
   // Miter: PIs, then ANDs in variable order (fanin literals only — the
   // variable ids are implicit), then PO literals.
@@ -227,33 +228,30 @@ std::optional<Snapshot> parse(const std::uint8_t* data, std::size_t size) {
   if (!(s.elapsed_seconds >= 0)) return std::nullopt;  // also rejects NaN
   s.boundary = r.str(kMaxBoundaryLen);
 
-  engine::EngineStats& es = s.engine_stats;
-  es.po_seconds = r.f64();
-  es.global_seconds = r.f64();
-  es.local_seconds = r.f64();
-  es.other_seconds = r.f64();
-  es.total_seconds = r.f64();
-  es.initial_ands = r.u64();
-  es.final_ands = r.u64();
-  es.pos_total = r.u64();
-  es.pos_proved = r.u64();
-  es.pairs_proved_global = r.u64();
-  es.pairs_proved_local = r.u64();
-  es.pairs_disproved = r.u64();
-  es.cex_count = r.u64();
-  es.local_phases = r.u64();
-
-  exhaustive::DegradeState& d = s.degrade;
-  d.memory_words = r.u64();
-  d.window_merging = r.u8() != 0;
-  d.ladder_steps = r.u64();
-  d.memory_halvings = r.u64();
-  d.merge_fallbacks = r.u64();
-  d.batch_splits = r.u64();
-  d.deadline_expiries = r.u64();
-  d.units_abandoned = r.u64();
-  d.pass_retries = r.u64();
-  d.faults_recovered = r.u64();
+  const std::uint32_t num_metrics = r.u32();
+  if (!r.ok || num_metrics > kMaxMetrics) return std::nullopt;
+  s.report.metrics.reserve(num_metrics);
+  for (std::uint32_t k = 0; k < num_metrics; ++k) {
+    obs::Metric m;
+    m.name = r.str(kMaxMetricNameLen);
+    const std::uint8_t kind = r.u8();
+    if (!r.ok || kind > static_cast<std::uint8_t>(obs::MetricKind::kGauge))
+      return std::nullopt;
+    m.kind = static_cast<obs::MetricKind>(kind);
+    if (m.kind == obs::MetricKind::kCounter)
+      m.count = r.u64();
+    else
+      m.value = r.f64();
+    // Strictly increasing names keep Snapshot::find's binary search valid
+    // and rule out duplicates; only catalogued, finite metrics may reach
+    // a resumed run's registry.
+    if (!r.ok || !catalogued_metric(m.name) || !std::isfinite(m.value) ||
+        (!s.report.metrics.empty() && !(s.report.metrics.back().name < m.name)))
+      return std::nullopt;
+    s.report.metrics.push_back(std::move(m));
+  }
+  s.memory_words = r.u64();
+  s.window_merging = r.u8() != 0;
 
   const std::uint32_t num_pis = r.u32();
   const std::uint64_t num_ands = r.u64();

@@ -8,13 +8,14 @@
 /// This module makes that state durable so a crash, OOM-kill or node
 /// preemption resumes instead of re-solving from scratch.
 ///
-/// Format `simsweep.ckpt.v1`: a little-endian binary record — magic +
+/// Format `simsweep.ckpt.v2`: a little-endian binary record — magic +
 /// version header, run fingerprint, flow stage ("engine" phase boundary
-/// or "sweep" round barrier), elapsed wall-clock, EngineStats +
-/// DegradeState, the serialized reduced miter, the accumulated
-/// PatternBank, and the sweep journal (proved merges, removed candidates,
-/// pair counters, next round) — closed by a CRC32 over everything before
-/// it.
+/// or "sweep" round barrier), elapsed wall-clock, the run report as of
+/// the boundary (every metric's name, kind and value), the ladder state
+/// a resume re-enters (working M, merging switch), the serialized reduced
+/// miter, the accumulated PatternBank, and the sweep journal (proved
+/// merges, removed candidates, pair counters, next round) — closed by a
+/// CRC32 over everything before it.
 ///
 /// Durability protocol: serialize → write to `<path>.tmp` → rename the
 /// previous `<path>` (if any) to `<path>.prev` → rename the tmp over
@@ -23,9 +24,10 @@
 /// one.
 ///
 /// Loading fails closed: parse() re-derives the CRC, bound-checks every
-/// count, and rebuilds the miter node by node, rejecting any snapshot
-/// whose structure does not round-trip exactly (so a resumed run checks
-/// the *identical* miter). A rejected candidate falls down the load
+/// count, checks every report metric against the name catalog, and
+/// rebuilds the miter node by node, rejecting any snapshot whose
+/// structure does not round-trip exactly (so a resumed run checks the
+/// *identical* miter). A rejected candidate falls down the load
 /// ladder — `<path>`, then `<path>.prev`, then a fresh run — and never
 /// yields an unsound verdict.
 
@@ -40,7 +42,6 @@
 #include "common/lock_ranks.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/timer.hpp"
-#include "engine/engine.hpp"
 #include "obs/registry.hpp"
 #include "sim/partial_sim.hpp"
 
@@ -48,8 +49,8 @@ namespace simsweep::ckpt {
 
 /// Format identity of the snapshot encoding (bumped on layout changes; a
 /// mismatched version is a shape reject, never a best-effort parse).
-inline constexpr const char kFormatId[] = "simsweep.ckpt.v1";
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr const char kFormatId[] = "simsweep.ckpt.v2";
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /// Which point of the combined flow the snapshot captured.
 enum class Stage : std::uint32_t {
@@ -70,8 +71,12 @@ struct Snapshot {
   /// original `engine.time_limit`.
   double elapsed_seconds = 0;
   std::string boundary;  ///< "P", "G", "L", "G+" or "round"
-  engine::EngineStats engine_stats;
-  exhaustive::DegradeState degrade;
+  /// The flow's run report as if the run stopped at the boundary. A resume
+  /// adds it to its registry, minus the ckpt.* and supervisor.* events.
+  obs::Snapshot report;
+  /// Ladder state a resumed engine re-enters: working M (0 = configured).
+  std::size_t memory_words = 0;
+  bool window_merging = true;
   /// The reduced miter at the boundary (the engine's working miter for
   /// kEngine, the residue handed to the sweeper for kSweep).
   aig::Aig miter;
@@ -89,14 +94,15 @@ struct Snapshot {
 /// CRC32 (IEEE 802.3 polynomial) over `size` bytes.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
-/// Encodes a snapshot as `simsweep.ckpt.v1` bytes (CRC trailer included).
+/// Encodes a snapshot as `simsweep.ckpt.v2` bytes (CRC trailer included).
 std::vector<std::uint8_t> serialize(const Snapshot& snapshot);
 
-/// Decodes `simsweep.ckpt.v1` bytes. Fails closed (nullopt) on a bad
-/// magic/version, a CRC mismatch, any out-of-bounds count or literal, or
-/// a miter that does not rebuild node-for-node. Never throws and never
-/// reads out of bounds — the checkpoint fuzz suite mutates these bytes
-/// under asan+ubsan.
+/// Decodes `simsweep.ckpt.v2` bytes. Fails closed (nullopt) on a bad
+/// magic/version (v1 included), a CRC mismatch, any out-of-bounds count or
+/// literal, an unsorted, uncatalogued, unknown-kind or non-finite report
+/// metric, or a miter that does not rebuild node-for-node. Never throws
+/// and never reads out of bounds — the checkpoint fuzz suite mutates
+/// these bytes under asan+ubsan.
 std::optional<Snapshot> parse(const std::uint8_t* data, std::size_t size);
 
 /// Owns one checkpoint path: throttled atomic writes on offer(), the

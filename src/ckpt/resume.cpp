@@ -1,6 +1,8 @@
 #include "ckpt/resume.hpp"
 
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "fault/fault.hpp"
@@ -16,6 +18,15 @@ void fnv(std::uint64_t& h, std::uint64_t v) {
     h ^= (v >> (8 * i)) & 0xFF;
     h *= 1099511628211ull;
   }
+}
+
+/// Whether `name` is in the ckpt.* or supervisor.* family.
+bool durability_event(std::string_view name) {
+  const auto family = [](std::string_view n) {
+    return n.substr(0, n.find('.'));
+  };
+  return family(name) == family(obs::metric::kCkptWrites) ||
+         family(name) == family(obs::metric::kSupervisorRestarts);
 }
 
 }  // namespace
@@ -74,11 +85,10 @@ CheckpointedResult checked_combined_check_miter(
 
   Timer t;
   const double base_elapsed = snap ? snap->elapsed_seconds : 0.0;
-  // What sweep snapshots embed of the engine: the finished chain's stats
-  // and its last boundary's ladder state (both hooks run on one thread).
-  engine::EngineStats chain_stats;
-  exhaustive::DegradeState degrade = snap ? snap->degrade
-                                          : exhaustive::DegradeState{};
+  // The last engine boundary's ladder state, for sweep snapshots (both
+  // hooks run on one thread).
+  std::size_t memory_words = snap ? snap->memory_words : 0;
+  bool window_merging = snap ? snap->window_merging : true;
   auto snapshot_at = [&](Stage stage, const char* boundary) {
     Snapshot s;
     s.stage = stage;
@@ -87,21 +97,23 @@ CheckpointedResult checked_combined_check_miter(
     s.boundary = boundary;
     return s;
   };
-  // The engine chain folds its totals into every view.
   combined.engine.checkpoint_hook =
       [&](const engine::EngineCheckpointView& view) {
         Snapshot s = snapshot_at(Stage::kEngine, view.boundary);
-        s.engine_stats = *view.stats;
-        s.degrade = degrade = *view.degrade;
+        s.report = *view.report;
+        s.memory_words = memory_words = view.degrade->memory_words;
+        s.window_merging = window_merging = view.degrade->window_merging;
         s.miter = *view.miter;
         if (view.bank != nullptr) s.bank = *view.bank;
         mgr.offer(s);
       };
+  // By the first sweep round the engine chain has published its totals.
   combined.sweeper.checkpoint_hook =
       [&](const sweep::SweepCheckpointView& view) {
         Snapshot s = snapshot_at(Stage::kSweep, "round");
-        s.engine_stats = chain_stats;
-        s.degrade = degrade;
+        s.report = registry.snapshot();
+        s.memory_words = memory_words;
+        s.window_merging = window_merging;
         s.miter = *view.miter;
         if (view.bank != nullptr) s.bank = *view.bank;
         s.merges = *view.merges;
@@ -125,10 +137,18 @@ CheckpointedResult checked_combined_check_miter(
   if (snap) {
     out.resumed = true;
     registry.add(obs::metric::kCkptResumes, 1);
-    out.pairs_restored = snap->engine_stats.pos_proved +
-                         snap->engine_stats.pairs_proved_global +
-                         snap->engine_stats.pairs_proved_local +
-                         snap->merges.size();
+    // The crashed run's totals continue in this registry, except its
+    // durability events: this process counts its own writes and restarts.
+    std::erase_if(snap->report.metrics, [](const obs::Metric& m) {
+      return durability_event(m.name);
+    });
+    registry.absorb(snap->report);
+    const obs::Snapshot& rep = snap->report;
+    out.pairs_restored = snap->merges.size() +
+                         static_cast<std::uint64_t>(
+                             rep.value(obs::metric::kEnginePosProved) +
+                             rep.value(obs::metric::kEnginePairsProvedGlobal) +
+                             rep.value(obs::metric::kEnginePairsProvedLocal));
     registry.add(obs::metric::kCkptPairsRestored, out.pairs_restored);
   }
   engine::EngineResult chain;
@@ -138,19 +158,20 @@ CheckpointedResult checked_combined_check_miter(
     chain = portfolio::detail::run_engine_chain(miter, combined);
   } else if (snap->stage == Stage::kEngine) {
     // Re-enter the engine on the reduced miter with the accumulated bank
-    // (the crashed run's equivalence classes are re-derived from it), the
-    // ladder backoff and the snapshot's stats as the chain's base.
+    // (the crashed run's equivalence classes are re-derived from it) and
+    // the ladder backoff, in the attempt the snapshot was taken in.
     if (snap->bank) combined.engine.initial_bank = &*snap->bank;
-    if (snap->degrade.memory_words > 0)
-      combined.engine.memory_words = snap->degrade.memory_words;
-    combined.engine.window_merging = snap->degrade.window_merging;
-    chain = portfolio::detail::run_engine_chain(snap->miter, combined,
-                                                &snap->engine_stats);
+    if (snap->memory_words > 0)
+      combined.engine.memory_words = snap->memory_words;
+    combined.engine.window_merging = snap->window_merging;
+    const std::uint64_t entered =
+        snap->report.count(obs::metric::kEngineAttempts);
+    chain = portfolio::detail::run_engine_chain(
+        snap->miter, combined, static_cast<unsigned>(entered));
   } else {
-    // The engine chain had finished: its residue, stats and the sweep
-    // journal go straight to the fallback.
+    // The engine chain had finished: its residue and the sweep journal
+    // go straight to the fallback.
     chain.reduced = snap->miter;
-    chain.stats = snap->engine_stats;
     journal = {.merges = snap->merges,
                .removed = snap->removed,
                .bank = snap->bank,
@@ -159,11 +180,7 @@ CheckpointedResult checked_combined_check_miter(
                .pairs_disproved = snap->sweep_pairs_disproved,
                .pairs_undecided = snap->sweep_pairs_undecided};
     resume = &journal;
-    // v3 reports require the degrade section the skipped engine would
-    // have published; restore it from the snapshot's ladder state.
-    exhaustive::publish_degrade(registry, snap->degrade);
   }
-  chain_stats = chain.stats;
   out.combined =
       portfolio::detail::run_sat_fallback(std::move(chain), combined, resume);
   out.combined.total_seconds = t.seconds();

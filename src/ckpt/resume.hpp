@@ -7,14 +7,16 @@
 /// checked_combined_check_miter() runs the combined flow's two steps
 /// (portfolio::detail::run_engine_chain, then run_sat_fallback) with
 ///   - checkpoint hooks on the engine (phase boundaries) and the SAT
-///     sweeper (round barriers), throttled by checkpoint_interval. The
-///     engine chain folds its totals into every boundary view; sweep
-///     snapshots carry the finished chain's stats;
+///     sweeper (round barriers), throttled by checkpoint_interval. Every
+///     snapshot carries the flow's run report as of its boundary;
 ///   - a resume path: a loadable snapshot of the same run fingerprint
-///     is converted back into flow state — engine snapshots run both
-///     steps on the reduced miter with the accumulated pattern bank,
-///     degraded-ladder state and their stats as the chain's base, sweep
-///     snapshots run only the fallback on their residue and journal;
+///     is converted back into flow state. Its report is absorbed into
+///     the registry (minus the ckpt.* and supervisor.* events), so every
+///     section continues the crashed run's totals; engine snapshots then
+///     run both steps on the reduced miter with the accumulated pattern
+///     bank and ladder state, continuing the chain after the attempts
+///     already entered, and sweep snapshots run only the fallback on
+///     their residue and journal;
 ///   - budget restoration: the snapshot's elapsed wall-clock is charged
 ///     against engine.time_limit, so a restarted run finishes inside the
 ///     original combined budget instead of restarting the clock;

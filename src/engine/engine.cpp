@@ -10,48 +10,6 @@
 
 namespace simsweep::engine {
 
-/// Engine-level gauges, published with set semantics: when a chain of
-/// attempts shares one registry the caller republishes its merged stats
-/// last, so the final snapshot shows chain totals.
-void publish_engine_stats(obs::Registry& r, const EngineStats& s) {
-  r.set(obs::metric::kEnginePoSeconds, s.po_seconds);
-  r.set(obs::metric::kEngineGlobalSeconds, s.global_seconds);
-  r.set(obs::metric::kEngineLocalSeconds, s.local_seconds);
-  r.set(obs::metric::kEngineOtherSeconds, s.other_seconds);
-  r.set(obs::metric::kEngineTotalSeconds, s.total_seconds);
-  r.set(obs::metric::kEngineInitialAnds, static_cast<double>(s.initial_ands));
-  r.set(obs::metric::kEngineFinalAnds, static_cast<double>(s.final_ands));
-  r.set(obs::metric::kEnginePosTotal, static_cast<double>(s.pos_total));
-  r.set(obs::metric::kEnginePosProved, static_cast<double>(s.pos_proved));
-  r.set(obs::metric::kEnginePairsProvedGlobal,
-        static_cast<double>(s.pairs_proved_global));
-  r.set(obs::metric::kEnginePairsProvedLocal,
-        static_cast<double>(s.pairs_proved_local));
-  r.set(obs::metric::kEnginePairsDisproved, static_cast<double>(s.pairs_disproved));
-  r.set(obs::metric::kEngineCexCount, static_cast<double>(s.cex_count));
-  r.set(obs::metric::kEngineLocalPhases, static_cast<double>(s.local_phases));
-  r.set(obs::metric::kEngineReductionPercent, s.reduction_percent());
-}
-
-void accumulate_attempt_stats(EngineStats& next, const EngineStats& prev) {
-  next.po_seconds += prev.po_seconds;
-  next.global_seconds += prev.global_seconds;
-  next.local_seconds += prev.local_seconds;
-  next.other_seconds += prev.other_seconds;
-  next.total_seconds += prev.total_seconds;
-  // The chain starts from the first attempt's miter: its initial size and
-  // PO count are the ones reduction_percent() must be measured against.
-  next.initial_ands = prev.initial_ands;
-  next.pos_total = prev.pos_total;
-  // final_ands stays next's own (the latest reduction state).
-  next.pos_proved += prev.pos_proved;
-  next.pairs_proved_global += prev.pairs_proved_global;
-  next.pairs_proved_local += prev.pairs_proved_local;
-  next.pairs_disproved += prev.pairs_disproved;
-  next.cex_count += prev.cex_count;
-  next.local_phases += prev.local_phases;
-}
-
 EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
   Timer total;
 
@@ -83,10 +41,21 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
   obs::Registry& registry =
       params_.registry != nullptr ? *params_.registry : local_registry;
   ctx.obs = &registry;
+  // The miter every reduction of this registry is measured against: set
+  // once, by the registry's first attempt (DESIGN.md §2.3).
+  if (registry.snapshot().find(obs::metric::kEngineInitialAnds) == nullptr) {
+    registry.set(obs::metric::kEngineInitialAnds,
+                 static_cast<double>(ctx.stats.initial_ands));
+    registry.set(obs::metric::kEnginePosTotal,
+                 static_cast<double>(ctx.stats.pos_total));
+  }
 
-  // Fills the "as of now" stats (final size, times), so a checkpoint view
-  // obeys P + G + L + other == total just like the finished run.
-  auto stamp_stats = [&] {
+  // The attempt's one publish step (DESIGN.md §2.3), into the registry by
+  // finish() or into a scratch copy by a checkpoint. Totals are added, so
+  // attempts sharing a registry sum by themselves; only the miter's size
+  // and reduction are set. Stats are stamped "as of now", so a checkpoint
+  // report obeys P + G + L + other == total like the finished run's.
+  auto publish = [&](obs::Registry& r) {
     ctx.stats.final_ands = ctx.miter.num_ands();
     ctx.stats.total_seconds = total.seconds();
     // Everything outside the three phase timers: simulation init, EC
@@ -95,47 +64,66 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
         0.0, ctx.stats.total_seconds -
                  (ctx.stats.po_seconds + ctx.stats.global_seconds +
                   ctx.stats.local_seconds));
-  };
-
-  EngineResult result;
-  auto finish = [&](Verdict verdict) {
-    stamp_stats();
-    publish_engine_stats(registry, ctx.stats);
-    parallel::ThreadPool::global().publish(registry);
+    const EngineStats& s = ctx.stats;
+    r.add_value(obs::metric::kEnginePoSeconds, s.po_seconds);
+    r.add_value(obs::metric::kEngineGlobalSeconds, s.global_seconds);
+    r.add_value(obs::metric::kEngineLocalSeconds, s.local_seconds);
+    r.add_value(obs::metric::kEngineOtherSeconds, s.other_seconds);
+    r.add_value(obs::metric::kEngineTotalSeconds, s.total_seconds);
+    r.add_value(obs::metric::kEnginePosProved,
+                static_cast<double>(s.pos_proved));
+    r.add_value(obs::metric::kEnginePairsProvedGlobal,
+                static_cast<double>(s.pairs_proved_global));
+    r.add_value(obs::metric::kEnginePairsProvedLocal,
+                static_cast<double>(s.pairs_proved_local));
+    r.add_value(obs::metric::kEnginePairsDisproved,
+                static_cast<double>(s.pairs_disproved));
+    r.add_value(obs::metric::kEngineCexCount,
+                static_cast<double>(s.cex_count));
+    r.add_value(obs::metric::kEngineLocalPhases,
+                static_cast<double>(s.local_phases));
+    r.set(obs::metric::kEngineFinalAnds, static_cast<double>(s.final_ands));
+    const double initial = r.gauge(obs::metric::kEngineInitialAnds).value();
+    r.set(obs::metric::kEngineReductionPercent,
+          initial == 0 ? 100.0 : 100.0 * (1.0 - s.final_ands / initial));
+    parallel::ThreadPool::global().publish(r);
     // Fault & degradation sections (DESIGN.md §2.4). Published even when
-    // all-zero so every v2 report carries both sections; counter add
-    // semantics accumulate across shared-registry attempt chains.
-    registry.add(obs::metric::kFaultsInjected,
-                 fault::fires_total() - fault_fires_before);
+    // all-zero so every v2 report carries both sections.
+    r.add(obs::metric::kFaultsInjected,
+          fault::fires_total() - fault_fires_before);
     for (const auto& [site, fires] : fault::active_fire_counts()) {
       std::uint64_t before = 0;
       for (const auto& [s0, f0] : site_fires_before)
         if (s0 == site) before = f0;
       if (fires > before)
-        registry.add(obs::metric::kFaultsSitePrefix + site, fires - before);
+        r.add(obs::metric::kFaultsSitePrefix + site, fires - before);
     }
-    exhaustive::publish_degrade(registry, ctx.ladder.state());
+    exhaustive::publish_degrade(r, ctx.ladder.state());
     // Incremental carry-over section (DESIGN.md §2.7). Published even when
     // all-zero so every report carries the partial_sim.carryover family.
     const sim::CarryStats& cs = ctx.inc.stats();
-    registry.add(obs::metric::kPartialSimIncrementalWords,
-                 cs.incremental_words);
-    registry.add(obs::metric::kPartialSimFullResims, cs.full_resims);
-    registry.add(obs::metric::kPartialSimCarryClasses, cs.carry_classes);
-    registry.add(obs::metric::kPartialSimCarryDropped, cs.carry_dropped);
-    registry.add(obs::metric::kPartialSimCarryFallbacks, cs.carry_fallbacks);
+    r.add(obs::metric::kPartialSimIncrementalWords, cs.incremental_words);
+    r.add(obs::metric::kPartialSimFullResims, cs.full_resims);
+    r.add(obs::metric::kPartialSimCarryClasses, cs.carry_classes);
+    r.add(obs::metric::kPartialSimCarryDropped, cs.carry_dropped);
+    r.add(obs::metric::kPartialSimCarryFallbacks, cs.carry_fallbacks);
     // Checkpoint/supervisor sections (DESIGN.md §2.8). Zero-added like
     // the faults/degrade sections above so every v3 report carries both
     // families; the ckpt layer and the cec_tool supervisor add the real
     // event counts.
-    registry.add(obs::metric::kCkptWrites, 0);
-    registry.add(obs::metric::kSupervisorRestarts, 0);
+    r.add(obs::metric::kCkptWrites, 0);
+    r.add(obs::metric::kSupervisorRestarts, 0);
     if (ctx.ledger != nullptr) {
-      registry.set(obs::metric::kDegradeMemoryPeakBytes,
-                   static_cast<double>(ctx.ledger->peak_bytes()));
-      registry.set(obs::metric::kDegradeMemoryDenials,
-                   static_cast<double>(ctx.ledger->denials()));
+      r.set(obs::metric::kDegradeMemoryPeakBytes,
+            static_cast<double>(ctx.ledger->peak_bytes()));
+      r.set(obs::metric::kDegradeMemoryDenials,
+            static_cast<double>(ctx.ledger->denials()));
     }
+  };
+
+  EngineResult result;
+  auto finish = [&](Verdict verdict) {
+    publish(registry);
     result.report = registry.snapshot();
     result.verdict = verdict;
     result.reduced = std::move(ctx.miter);
@@ -159,11 +147,16 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
   // and must never change the verdict.
   auto offer_checkpoint = [&](const char* boundary) {
     if (!params_.checkpoint_hook) return;
-    stamp_stats();
+    // The report as if the run stopped here, built in a scratch copy so
+    // the registry itself is published once, by finish().
+    obs::Registry scratch;
+    scratch.absorb(registry.snapshot());
+    publish(scratch);
+    const obs::Snapshot report = scratch.snapshot();
     EngineCheckpointView view;
     view.miter = &ctx.miter;
     view.bank = ctx.bank ? &*ctx.bank : nullptr;
-    view.stats = &ctx.stats;
+    view.report = &report;
     view.degrade = &ctx.ladder.state();
     view.boundary = boundary;
     try {

@@ -41,8 +41,6 @@ namespace simsweep::engine {
 
 using simsweep::Verdict;
 
-struct EngineStats;
-
 /// Read-only view handed to EngineParams::checkpoint_hook at every phase
 /// boundary of an undecided-but-continuing run (DESIGN.md §2.8). All
 /// pointers alias host-thread engine state and are only valid for the
@@ -50,9 +48,10 @@ struct EngineStats;
 struct EngineCheckpointView {
   const aig::Aig* miter = nullptr;           ///< current reduced miter
   const sim::PatternBank* bank = nullptr;    ///< null before first random sim
-  /// As of this boundary: final_ands, total_seconds and other_seconds are
-  /// filled the way a run that stopped here would report them.
-  const EngineStats* stats = nullptr;
+  /// The run report as if the run stopped at this boundary: the
+  /// registry's totals plus this attempt's publish step, taken in a
+  /// scratch registry (the registry itself is untouched).
+  const obs::Snapshot* report = nullptr;
   const exhaustive::DegradeState* degrade = nullptr;
   const char* boundary = "";  ///< "P", "G", "L" or "G+" (escalated global)
 };
@@ -142,10 +141,11 @@ struct EngineParams {
   std::size_t min_memory_words = std::size_t{1} << 10;
 
   /// Optional metrics registry (DESIGN.md §2.3). When set, the engine and
-  /// its phases publish their module counters (exhaustive.*, cut.*, ec.*,
-  /// partial_sim.*, miter.*, engine.*, pool.*) into it; a shared registry
-  /// accumulates across engine attempts. When null the engine uses a
-  /// private registry so EngineResult::report is always populated.
+  /// its phases add their sections (exhaustive.*, cut.*, ec.*, partial_sim.*,
+  /// miter.*, engine.*, ...) into it, so a registry shared by several
+  /// attempts holds their totals against the first attempt's miter. When
+  /// null the engine uses a private registry so EngineResult::report is
+  /// always populated.
   obs::Registry* registry = nullptr;
 
   // --- Checkpoint/resume (DESIGN.md §2.8). ---
@@ -285,19 +285,5 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g);
 bool run_local_phase(EngineContext& ctx);
 
 }  // namespace detail
-
-/// Folds the stats of a finished engine attempt (`prev`) into the stats of
-/// the attempt that continued from its reduced miter (`next`), so a chain
-/// of attempts reports work and time totals across the whole chain:
-/// counters and per-phase seconds accumulate, `initial_ands`/`pos_total`
-/// keep the FIRST attempt's view of the original miter, and `final_ands`
-/// stays `next`'s (the latest reduction). Used by the combined flow's
-/// engine chain (rewriting re-runs and resumed attempts).
-void accumulate_attempt_stats(EngineStats& next, const EngineStats& prev);
-
-/// Publishes EngineStats as `engine.*` gauges (set semantics — the last
-/// publisher into a shared registry wins, so callers that merge stats
-/// across attempts republish the merged totals last).
-void publish_engine_stats(obs::Registry& registry, const EngineStats& stats);
 
 }  // namespace simsweep::engine

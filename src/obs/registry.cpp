@@ -44,6 +44,15 @@ Gauge& Registry::gauge(std::string_view name) {
   return it->second->gauge;
 }
 
+void Registry::absorb(const Snapshot& snap) {
+  for (const Metric& m : snap.metrics) {
+    if (m.kind == MetricKind::kCounter)
+      counter(m.name).add(m.count);
+    else
+      gauge(m.name).add(m.value);
+  }
+}
+
 Snapshot Registry::snapshot() const {
   Snapshot snap;
   common::RankedMutexLock lock(mutex_, common::lock_ranks::registry);

@@ -127,6 +127,12 @@ class Registry {
 
   Snapshot snapshot() const SIMSWEEP_EXCLUDES(mutex_);
 
+  /// Adds every metric of `snap` to its cell, counters and gauges alike
+  /// (a missing cell is created with the metric's kind). This is how a
+  /// resumed run and a checkpoint's "as of now" view continue the totals
+  /// of a registry they do not share.
+  void absorb(const Snapshot& snap);
+
  private:
   /// One named cell; kind selects which member is live. Both members are
   /// trivially constructible so a cell is just two atomics.

@@ -55,40 +55,44 @@ class VerdictBox {
   std::atomic<bool> cancel_{false};
 };
 
-/// SAT-sweeper fallback stats under `sat_sweeper.*` (gauges, set
-/// semantics: one sweep per combined run at most).
+/// SAT-sweeper fallback stats under `sat_sweeper.*`, added to the flow's
+/// totals like every other section (DESIGN.md §2.3).
 void publish_sweeper_stats(obs::Registry& r, bool used,
                            const sweep::SweeperStats& s, double seconds) {
-  r.set(obs::metric::kSweeperUsed, used ? 1.0 : 0.0);
+  r.add_value(obs::metric::kSweeperUsed, used ? 1.0 : 0.0);
   if (!used) return;
-  r.set(obs::metric::kSweeperSatCalls, static_cast<double>(s.sat_calls));
-  r.set(obs::metric::kSweeperPairsProved, static_cast<double>(s.pairs_proved));
-  r.set(obs::metric::kSweeperPairsDisproved,
-        static_cast<double>(s.pairs_disproved));
-  r.set(obs::metric::kSweeperPairsUndecided,
-        static_cast<double>(s.pairs_undecided));
-  r.set(obs::metric::kSweeperConflicts, static_cast<double>(s.conflicts));
-  r.set(obs::metric::kSweeperSolveFaults, static_cast<double>(s.solve_faults));
-  r.set(obs::metric::kSweeperSeconds, seconds);
+  r.add_value(obs::metric::kSweeperSatCalls, static_cast<double>(s.sat_calls));
+  r.add_value(obs::metric::kSweeperPairsProved,
+              static_cast<double>(s.pairs_proved));
+  r.add_value(obs::metric::kSweeperPairsDisproved,
+              static_cast<double>(s.pairs_disproved));
+  r.add_value(obs::metric::kSweeperPairsUndecided,
+              static_cast<double>(s.pairs_undecided));
+  r.add_value(obs::metric::kSweeperConflicts, static_cast<double>(s.conflicts));
+  r.add_value(obs::metric::kSweeperSolveFaults,
+              static_cast<double>(s.solve_faults));
+  r.add_value(obs::metric::kSweeperSeconds, seconds);
   // Parallel-sweep shard telemetry (DESIGN.md §2.5). Published only when
   // the sweep ran sharded (or degraded from a sharded attempt), so purely
   // sequential v2 reports keep their exact historical shape.
   if (s.shards == 0 && s.parallel_fallbacks == 0) return;
-  r.set(obs::metric::kSweeperShards, static_cast<double>(s.shards));
-  r.set(obs::metric::kSweeperChunks, static_cast<double>(s.chunks));
-  r.set(obs::metric::kSweeperSteals, static_cast<double>(s.steals));
-  r.set(obs::metric::kSweeperBoardMerges, static_cast<double>(s.board_merges));
-  r.set(obs::metric::kSweeperCexShared, static_cast<double>(s.cex_shared));
-  r.set(obs::metric::kSweeperPairsSimResolved,
-        static_cast<double>(s.pairs_sim_resolved));
-  r.set(obs::metric::kSweeperParallelFallbacks,
-        static_cast<double>(s.parallel_fallbacks));
+  r.add_value(obs::metric::kSweeperShards, static_cast<double>(s.shards));
+  r.add_value(obs::metric::kSweeperChunks, static_cast<double>(s.chunks));
+  r.add_value(obs::metric::kSweeperSteals, static_cast<double>(s.steals));
+  r.add_value(obs::metric::kSweeperBoardMerges,
+              static_cast<double>(s.board_merges));
+  r.add_value(obs::metric::kSweeperCexShared,
+              static_cast<double>(s.cex_shared));
+  r.add_value(obs::metric::kSweeperPairsSimResolved,
+              static_cast<double>(s.pairs_sim_resolved));
+  r.add_value(obs::metric::kSweeperParallelFallbacks,
+              static_cast<double>(s.parallel_fallbacks));
   for (std::size_t i = 0; i < s.shard.size(); ++i) {
     const std::string p =
         obs::metric::kSweeperShardPrefix + std::to_string(i);
-    r.set(p + ".chunks", static_cast<double>(s.shard[i].chunks));
-    r.set(p + ".steals", static_cast<double>(s.shard[i].steals));
-    r.set(p + ".busy_seconds", s.shard[i].busy_seconds);
+    r.add_value(p + ".chunks", static_cast<double>(s.shard[i].chunks));
+    r.add_value(p + ".steals", static_cast<double>(s.shard[i].steals));
+    r.add_value(p + ".busy_seconds", s.shard[i].busy_seconds);
   }
 }
 
@@ -98,38 +102,23 @@ namespace detail {
 
 engine::EngineResult run_engine_chain(const aig::Aig& miter,
                                       const CombinedParams& params,
-                                      const engine::EngineStats* base) {
-  engine::EngineParams engine_params = params.engine;
-  // The chain so far (resumed base plus finished attempts), folded into
-  // each attempt's result and every view the caller's hook sees.
-  std::optional<engine::EngineStats> done;
-  if (base != nullptr) done = *base;
-  if (params.engine.checkpoint_hook)
-    engine_params.checkpoint_hook =
-        [&](const engine::EngineCheckpointView& view) {
-          engine::EngineStats stats = *view.stats;
-          if (done) engine::accumulate_attempt_stats(stats, *done);
-          engine::EngineCheckpointView chain_view = view;
-          chain_view.stats = &stats;
-          params.engine.checkpoint_hook(chain_view);
-        };
-  const engine::SimCecEngine eng(engine_params);
+                                      unsigned entered) {
+  const engine::SimCecEngine eng(params.engine);
   // engine.attempts counts every engine entry of the flow, so budget
-  // tests can pin the exact attempt count.
+  // tests can pin the exact attempt count; a resumed chain's first
+  // attempt re-enters one its absorbed report already counts.
   auto attempt = [&](aig::Aig m) {
     params.engine.registry->add(obs::metric::kEngineAttempts, 1);
-    engine::EngineResult er = eng.check_miter(std::move(m));
-    if (done) engine::accumulate_attempt_stats(er.stats, *done);
-    done = er.stats;
-    return er;
+    return eng.check_miter(std::move(m));
   };
-  engine::EngineResult er = attempt(miter);
+  engine::EngineResult er =
+      entered == 0 ? attempt(miter) : eng.check_miter(miter);
 
   // §V item 3: rewrite the residue and re-run the engine. The rewritten
   // miter is functionally identical (opt passes are verified
   // equivalence-preserving), so any verdict on it carries over; only a
   // CEX needs no translation because the PI interface is preserved.
-  for (unsigned round = 0;
+  for (unsigned round = entered == 0 ? 0 : entered - 1;
        params.interleave_rewriting && round < params.max_rewrite_rounds &&
        er.verdict == Verdict::kUndecided && er.reduced.num_ands() > 0 &&
        !params.engine.stop.stop_requested();
@@ -147,14 +136,7 @@ CombinedResult run_sat_fallback(engine::EngineResult chain,
                                 const sweep::SweepResumeState* resume) {
   obs::Registry& registry = *params.engine.registry;
   const fault::StopToken& stop = params.engine.stop;
-  // Republish the chain totals last: each attempt set the engine.*
-  // gauges from its own stats, the folded totals must win.
-  engine::publish_engine_stats(registry, chain.stats);
-
   CombinedResult result;
-  result.engine_stats = chain.stats;
-  result.engine_seconds = chain.stats.total_seconds;
-  result.reduction_percent = chain.stats.reduction_percent();
   result.verdict = chain.verdict;
   result.cex = std::move(chain.cex);
 
@@ -190,6 +172,10 @@ CombinedResult run_sat_fallback(engine::EngineResult chain,
   }
   publish_sweeper_stats(registry, result.used_sat, result.sweeper_stats,
                         result.sat_seconds);
+  result.report = registry.snapshot();
+  result.engine_seconds = result.report.value(obs::metric::kEngineTotalSeconds);
+  result.reduction_percent =
+      result.report.value(obs::metric::kEngineReductionPercent);
   return result;
 }
 
@@ -212,7 +198,6 @@ CombinedResult combined_check_miter(const aig::Aig& miter,
   CombinedResult result =
       detail::run_sat_fallback(detail::run_engine_chain(miter, flow), flow);
   result.total_seconds = total.seconds();
-  result.report = flow.engine.registry->snapshot();
   return result;
 }
 

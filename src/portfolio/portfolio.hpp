@@ -54,13 +54,8 @@ struct CombinedParams {
 struct CombinedResult {
   Verdict verdict = Verdict::kUndecided;
   std::optional<std::vector<bool>> cex;
-  /// Stats merged over ALL engine attempts (the rewriting-interleaved loop
-  /// may run the engine several times): per-phase seconds and pair/CEX
-  /// counters accumulate, initial_ands/pos_total keep the first attempt's
-  /// view, final_ands the last one's.
-  engine::EngineStats engine_stats;
   sweep::SweeperStats sweeper_stats;
-  double engine_seconds = 0;  ///< "GPU (s)" column analogue
+  double engine_seconds = 0;  ///< "GPU (s)": the report's engine total
   double sat_seconds = 0;     ///< "ABC (s)" column analogue
   /// Seconds left on the SAT-sweeper fallback's token when it was
   /// entered: the caller's sweeper.time_limit capped by what remained of
@@ -69,10 +64,10 @@ struct CombinedResult {
   /// sweeper was never entered.
   double sweeper_time_limit = 0;
   double total_seconds = 0;
-  double reduction_percent = 0;  ///< "Reduced (%)" column analogue
+  double reduction_percent = 0;  ///< "Reduced (%)", read from the report
   bool used_sat = false;  ///< the SAT fallback was entered
-  /// Full metric snapshot of the run (engine attempts share one registry;
-  /// SAT-sweeper fallback stats are published under `sat_sweeper.*`).
+  /// Full metric snapshot of the run (engine attempts and the SAT-sweeper
+  /// fallback, `sat_sweeper.*`, add their totals to one registry).
   /// Serialize with obs::to_json().
   obs::Snapshot report;
 };
@@ -88,17 +83,17 @@ namespace detail {
 // be the flow token with engine.time_limit folded in (and set to 0).
 
 /// The engine, then with interleave_rewriting its re-runs on the
-/// rewritten residue. The one place where attempt stats are folded: the
-/// result, and every view engine.checkpoint_hook sees, carry `base` (a
-/// resumed run's earlier work) plus every attempt so far.
-engine::EngineResult run_engine_chain(
-    const aig::Aig& miter, const CombinedParams& params,
-    const engine::EngineStats* base = nullptr);
+/// rewritten residue. A resumed chain passes the attempts it had
+/// `entered` (its report's engine.attempts): the first attempt re-enters
+/// the last of them, and the rewrite rounds continue after it.
+engine::EngineResult run_engine_chain(const aig::Aig& miter,
+                                      const CombinedParams& params,
+                                      unsigned entered = 0);
 
 /// Builds the flow's result from the finished chain and, if it left the
 /// residue undecided before the deadline, SAT-sweeps it (replaying a
-/// sweep-stage snapshot's `resume` journal). Publishes the chain's
-/// engine.* totals and sat_sweeper.*; leaves total_seconds and report.
+/// sweep-stage snapshot's `resume` journal). Adds sat_sweeper.* and takes
+/// the report; leaves total_seconds.
 CombinedResult run_sat_fallback(
     engine::EngineResult chain, const CombinedParams& params,
     const sweep::SweepResumeState* resume = nullptr);

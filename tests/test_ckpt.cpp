@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "gen/arith.hpp"
 #include "obs/metric_names.hpp"
 #include "obs/registry.hpp"
+#include "obs/report.hpp"
 #include "opt/resyn.hpp"
 #include "sim/partial_sim.hpp"
 #include "sweep/parallel_sweeper.hpp"
@@ -63,6 +66,21 @@ void refresh_crc(std::vector<std::uint8_t>& bytes) {
         static_cast<std::uint8_t>((c >> (8 * i)) & 0xFF);
 }
 
+/// A run report with counters, gauges and a family-composed leaf.
+obs::Snapshot sample_report() {
+  obs::Registry reg;
+  reg.set(obs::metric::kEngineInitialAnds, 40);
+  reg.set(obs::metric::kEngineFinalAnds, 30);
+  reg.set(obs::metric::kEnginePosTotal, 1);
+  reg.add_value(obs::metric::kEnginePairsProvedGlobal, 4);
+  reg.add(obs::metric::kEngineAttempts, 1);
+  reg.add(obs::metric::kDegradeLadderSteps, 2);
+  reg.add(std::string(obs::metric::kFaultsSitePrefix) +
+              fault::sites::kExhaustiveSimtAlloc,
+          3);
+  return reg.snapshot();
+}
+
 /// A representative sweep-stage snapshot with every section populated.
 Snapshot sweep_snapshot(std::uint64_t fingerprint, double elapsed = 1.5) {
   Snapshot s;
@@ -70,12 +88,9 @@ Snapshot sweep_snapshot(std::uint64_t fingerprint, double elapsed = 1.5) {
   s.fingerprint = fingerprint;
   s.elapsed_seconds = elapsed;
   s.boundary = "round";
-  s.engine_stats.initial_ands = 40;
-  s.engine_stats.final_ands = 30;
-  s.engine_stats.pos_total = 1;
-  s.engine_stats.pairs_proved_global = 4;
-  s.degrade.memory_words = std::size_t{1} << 12;
-  s.degrade.ladder_steps = 2;
+  s.report = sample_report();
+  s.memory_words = std::size_t{1} << 12;
+  s.window_merging = false;
   s.miter = aig::make_miter(gen::array_multiplier(3),
                             gen::wallace_multiplier(3));
   s.bank = sim::PatternBank::random(s.miter.num_pis(), 2, 7);
@@ -100,10 +115,17 @@ TEST(CkptFormat, SerializeParseRoundTrips) {
   EXPECT_EQ(p->fingerprint, 0xC0FFEEull);
   EXPECT_DOUBLE_EQ(p->elapsed_seconds, 1.5);
   EXPECT_EQ(p->boundary, "round");
-  EXPECT_EQ(p->engine_stats.initial_ands, 40u);
-  EXPECT_EQ(p->engine_stats.pairs_proved_global, 4u);
-  EXPECT_EQ(p->degrade.memory_words, std::size_t{1} << 12);
-  EXPECT_EQ(p->degrade.ladder_steps, 2u);
+  ASSERT_EQ(p->report.metrics.size(), s.report.metrics.size());
+  EXPECT_DOUBLE_EQ(p->report.value(obs::metric::kEngineInitialAnds), 40.0);
+  EXPECT_DOUBLE_EQ(p->report.value(obs::metric::kEnginePairsProvedGlobal),
+                   4.0);
+  EXPECT_EQ(p->report.count(obs::metric::kEngineAttempts), 1u);
+  EXPECT_EQ(p->report.count(obs::metric::kDegradeLadderSteps), 2u);
+  EXPECT_EQ(p->report.count(std::string(obs::metric::kFaultsSitePrefix) +
+                            fault::sites::kExhaustiveSimtAlloc),
+            3u);
+  EXPECT_EQ(p->memory_words, std::size_t{1} << 12);
+  EXPECT_FALSE(p->window_merging);
   EXPECT_EQ(p->miter.num_nodes(), s.miter.num_nodes());
   EXPECT_EQ(p->miter.num_pos(), s.miter.num_pos());
   ASSERT_TRUE(p->bank.has_value());
@@ -132,6 +154,7 @@ TEST(CkptFormat, EngineStageWithoutBankRoundTrips) {
   EXPECT_EQ(p->boundary, "G+");
   EXPECT_FALSE(p->bank.has_value());
   EXPECT_TRUE(p->merges.empty());
+  EXPECT_TRUE(p->report.empty());
 }
 
 TEST(CkptFormat, CrcCatchesEveryByteCorruption) {
@@ -162,7 +185,14 @@ TEST(CkptFormat, VersionAndStageAndElapsedShapeGatesHold) {
   // elapsed f64 | ...
   {
     std::vector<std::uint8_t> bad = good;  // future format version
-    bad[16] = 2;
+    bad[16] = 3;
+    refresh_crc(bad);
+    EXPECT_FALSE(parse(bad.data(), bad.size()).has_value());
+  }
+  {
+    std::vector<std::uint8_t> bad = good;  // a v1 file: start fresh
+    bad[15] = '1';
+    bad[16] = 1;
     refresh_crc(bad);
     EXPECT_FALSE(parse(bad.data(), bad.size()).has_value());
   }
@@ -191,6 +221,68 @@ TEST(CkptFormat, MergeJournalOrderingGateHolds) {
   s.merges.emplace_back(last, aig::make_lit(last));  // lit_var(lit) == node
   std::vector<std::uint8_t> bad = serialize(s);
   EXPECT_FALSE(parse(bad.data(), bad.size()).has_value());
+}
+
+TEST(CkptFormat, ReportShapeGatesHold) {
+  // The report is absorbed into a resumed run's registry, so every metric
+  // must be one a run can publish: bounded, sorted, catalogued, of a known
+  // kind and finite. Each mutant keeps a valid CRC.
+  const auto rejected = [](const obs::Snapshot& report) {
+    Snapshot s = sweep_snapshot(5);
+    s.report = report;
+    const std::vector<std::uint8_t> bytes = serialize(s);
+    return !parse(bytes.data(), bytes.size()).has_value();
+  };
+  const obs::Snapshot good = sample_report();
+  ASSERT_FALSE(rejected(good));
+  {
+    obs::Snapshot bad = good;  // names not strictly increasing
+    std::swap(bad.metrics.front(), bad.metrics.back());
+    EXPECT_TRUE(rejected(bad));
+    bad = good;  // a duplicate name
+    bad.metrics.push_back(bad.metrics.back());
+    EXPECT_TRUE(rejected(bad));
+  }
+  {
+    obs::Snapshot bad = good;  // a name outside the catalog
+    bad.metrics.front().name += "_unknown";
+    EXPECT_TRUE(rejected(bad));
+    bad = good;  // a bare family prefix is no metric
+    bad.metrics.back().name = obs::metric::kFaultsSitePrefix;
+    std::sort(bad.metrics.begin(), bad.metrics.end(),
+              [](const obs::Metric& x, const obs::Metric& y) {
+                return x.name < y.name;
+              });
+    EXPECT_TRUE(rejected(bad));
+  }
+  {
+    obs::Snapshot bad = good;  // a name over the length bound
+    bad.metrics.back().name = std::string(obs::metric::kFaultsSitePrefix) +
+                              std::string(300, 'z');
+    EXPECT_TRUE(rejected(bad));
+  }
+  {
+    obs::Snapshot bad = good;  // a kind byte other than counter or gauge
+    bad.metrics.front().kind = static_cast<obs::MetricKind>(2);
+    EXPECT_TRUE(rejected(bad));
+  }
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    obs::Snapshot bad = good;  // a gauge that is not finite
+    for (obs::Metric& m : bad.metrics)
+      if (m.kind == obs::MetricKind::kGauge) m.value = v;
+    EXPECT_TRUE(rejected(bad));
+  }
+  {
+    // A metric count over the bound. Layout: magic[16] | version u32 |
+    // stage u32 | fingerprint u64 | elapsed f64 | boundary (u32 length +
+    // "round") | metric count u32 | ...
+    std::vector<std::uint8_t> bad = serialize(sweep_snapshot(5));
+    const std::size_t at = 16 + 4 + 4 + 8 + 8 + 4 + 5;
+    bad[at + 2] = 0x01;  // count += 1 << 16
+    refresh_crc(bad);
+    EXPECT_FALSE(parse(bad.data(), bad.size()).has_value());
+  }
 }
 
 // --- Manager: atomic writes, the last-good ladder, throttling. ---
@@ -322,6 +414,50 @@ TEST(CkptFault, LoadFaultFailsClosed) {
 
 // --- Resume: verdict identity and journal replay. ---
 
+/// P + G + L + other == total over the report's engine.* totals.
+void expect_time_identity(const obs::Snapshot& r, const std::string& where) {
+  EXPECT_NEAR(r.value(obs::metric::kEnginePoSeconds) +
+                  r.value(obs::metric::kEngineGlobalSeconds) +
+                  r.value(obs::metric::kEngineLocalSeconds) +
+                  r.value(obs::metric::kEngineOtherSeconds),
+              r.value(obs::metric::kEngineTotalSeconds), 1e-6)
+      << where;
+}
+
+/// The sorted (name, kind) list of a report.
+std::vector<std::pair<std::string, obs::MetricKind>> shape_of(
+    const obs::Snapshot& r) {
+  std::vector<std::pair<std::string, obs::MetricKind>> shape;
+  for (const obs::Metric& m : r.metrics) shape.emplace_back(m.name, m.kind);
+  return shape;
+}
+
+/// The parameters of the sweep-stage tests: a random 16-PI pair against
+/// its resyn_light copy, with an engine too weak to decide it (P off,
+/// small k, no L phases, no escalation) and a SAT sweep of several rounds.
+CheckpointedParams weak_engine_params(const std::string& ckpt_name) {
+  CheckpointedParams p;
+  p.combined.engine.enable_po_phase = false;
+  p.combined.engine.k_P = 5;
+  p.combined.engine.k_p = 3;
+  p.combined.engine.k_g = 3;
+  p.combined.engine.k_l = 3;
+  p.combined.engine.max_local_phases = 0;
+  p.combined.engine.escalate_global = false;
+  p.combined.sweeper.sim_words = 1;  // several sweep rounds
+  p.combined.transfer_ec = false;
+  p.checkpoint_path = temp_path(ckpt_name);
+  p.checkpoint_interval = 0;
+  return p;
+}
+
+/// Replaces the checkpoint files of `p` by `bytes` alone.
+void install_snapshot(const CheckpointedParams& p,
+                      const std::vector<std::uint8_t>& bytes) {
+  std::remove((p.checkpoint_path + ".prev").c_str());
+  write_bytes_file(p.checkpoint_path, bytes);
+}
+
 TEST(CkptResume, KilledRunResumesToIdenticalVerdict) {
   // The acceptance drill of DESIGN.md §2.8 in-process: leg 1 runs the
   // combined flow to completion with every boundary durable; its last
@@ -356,11 +492,8 @@ TEST(CkptResume, KilledRunResumesToIdenticalVerdict) {
   EXPECT_EQ(leg2.combined.report.count(obs::metric::kCkptPairsRestored),
             leg2.pairs_restored);
   // The resumed chain's time identity holds as on a plain run: the
-  // snapshot's stats were taken "as of" their boundary.
-  const engine::EngineStats& es = leg2.combined.engine_stats;
-  EXPECT_NEAR(es.po_seconds + es.global_seconds + es.local_seconds +
-                  es.other_seconds,
-              es.total_seconds, 1e-6);
+  // snapshot's report was taken "as of" its boundary.
+  expect_time_identity(leg2.combined.report, "leg 2");
 }
 
 TEST(CkptResume, SweepStageResumeReportsTheEngineChainTotals) {
@@ -380,19 +513,11 @@ TEST(CkptResume, SweepStageResumeReportsTheEngineChainTotals) {
     const aig::Aig b = opt::resyn_light(a);
     const aig::Aig miter = aig::make_miter(a, b);
 
-    CheckpointedParams p;
-    p.combined.engine.enable_po_phase = false;
-    p.combined.engine.k_P = 5;
-    p.combined.engine.k_p = 3;
-    p.combined.engine.k_g = 3;
-    p.combined.engine.k_l = 3;
-    p.combined.engine.max_local_phases = 0;
-    p.combined.engine.escalate_global = false;
-    p.combined.sweeper.sim_words = 1;  // several sweep rounds
-    p.combined.transfer_ec = false;
+    CheckpointedParams p = weak_engine_params("simsweep_ckpt_sweep_stage.ckpt");
     p.combined.interleave_rewriting = c.interleave_rewriting;
-    p.checkpoint_path = temp_path("simsweep_ckpt_sweep_stage.ckpt");
-    p.checkpoint_interval = 0;
+    // One L phase: without it the engine publishes no cut.* section and
+    // no report of this flow, resumed or not, validates.
+    p.combined.engine.max_local_phases = 1;
     // Every snapshot, engine boundaries of a rewriting re-run included,
     // holds chain totals that obey P + G + L + other == total.
     std::size_t writes = 0;
@@ -400,12 +525,10 @@ TEST(CkptResume, SweepStageResumeReportsTheEngineChainTotals) {
       const std::vector<std::uint8_t> bytes = read_bytes(p.checkpoint_path);
       const std::optional<Snapshot> s = parse(bytes.data(), bytes.size());
       ASSERT_TRUE(s.has_value());
-      const engine::EngineStats& es = s->engine_stats;
-      EXPECT_EQ(es.initial_ands, miter.num_ands()) << s->boundary;
-      EXPECT_NEAR(es.po_seconds + es.global_seconds + es.local_seconds +
-                      es.other_seconds,
-                  es.total_seconds, 1e-6)
+      EXPECT_DOUBLE_EQ(s->report.value(obs::metric::kEngineInitialAnds),
+                       static_cast<double>(miter.num_ands()))
           << s->boundary;
+      expect_time_identity(s->report, s->boundary);
       ++writes;
     };
 
@@ -413,28 +536,120 @@ TEST(CkptResume, SweepStageResumeReportsTheEngineChainTotals) {
     EXPECT_EQ(writes, leg1.checkpoint_writes);
     ASSERT_EQ(leg1.combined.verdict, Verdict::kEquivalent);
     ASSERT_TRUE(leg1.combined.used_sat);
-    EXPECT_EQ(leg1.combined.engine_stats.initial_ands, miter.num_ands());
+    const obs::Snapshot& r1 = leg1.combined.report;
+    EXPECT_DOUBLE_EQ(r1.value(obs::metric::kEngineInitialAnds),
+                     static_cast<double>(miter.num_ands()));
 
     const std::vector<std::uint8_t> bytes = read_bytes(p.checkpoint_path);
     const std::optional<Snapshot> snap = parse(bytes.data(), bytes.size());
     ASSERT_TRUE(snap.has_value());
     ASSERT_EQ(snap->stage, Stage::kSweep);
-    EXPECT_EQ(snap->engine_stats.initial_ands, miter.num_ands());
-    EXPECT_EQ(snap->engine_stats.final_ands,
-              leg1.combined.engine_stats.final_ands);
+    EXPECT_DOUBLE_EQ(snap->report.value(obs::metric::kEngineInitialAnds),
+                     static_cast<double>(miter.num_ands()));
+    EXPECT_DOUBLE_EQ(snap->report.value(obs::metric::kEngineFinalAnds),
+                     r1.value(obs::metric::kEngineFinalAnds));
 
     const CheckpointedResult leg2 = checked_combined_check(a, b, p);
     ASSERT_TRUE(leg2.resumed);
     EXPECT_EQ(leg2.combined.verdict, leg1.combined.verdict);
-    const engine::EngineStats& s1 = leg1.combined.engine_stats;
-    const engine::EngineStats& s2 = leg2.combined.engine_stats;
-    EXPECT_EQ(s2.initial_ands, s1.initial_ands);
-    EXPECT_EQ(s2.final_ands, s1.final_ands);
-    EXPECT_EQ(s2.pos_total, s1.pos_total);
+    const obs::Snapshot& r2 = leg2.combined.report;
+    for (const char* leaf :
+         {obs::metric::kEngineInitialAnds, obs::metric::kEngineFinalAnds,
+          obs::metric::kEnginePosTotal, obs::metric::kEngineReductionPercent})
+      EXPECT_DOUBLE_EQ(r2.value(leaf), r1.value(leaf)) << leaf;
     EXPECT_DOUBLE_EQ(leg2.combined.reduction_percent,
                      leg1.combined.reduction_percent);
-    EXPECT_DOUBLE_EQ(s2.reduction_percent(), s1.reduction_percent());
+    // The skipped engine's sections come from the snapshot: the resumed
+    // report has the uninterrupted one's shape and validates like it.
+    EXPECT_EQ(shape_of(r2), shape_of(r1));
+    std::string error;
+    ASSERT_TRUE(obs::validate_report_json(obs::to_json(r1), &error)) << error;
+    EXPECT_TRUE(obs::validate_report_json(obs::to_json(r2), &error)) << error;
   }
+}
+
+TEST(CkptResume, EngineStageResumeContinuesTheRewriteChain) {
+  // A snapshot taken in the rewriting re-run (attempt 2) must resume that
+  // attempt, not restart the chain at its first rewrite round: the
+  // resumed run enters no more attempts than the uninterrupted one and
+  // reaches its reduction.
+  for (const std::uint64_t seed : {301, 302, 303}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const aig::Aig a = testutil::random_aig(16, 900, 8, seed);
+    const aig::Aig b = opt::resyn_light(a);
+    CheckpointedParams p = weak_engine_params("simsweep_ckpt_rewrite.ckpt");
+    p.combined.interleave_rewriting = true;
+    std::vector<std::uint8_t> last_of_attempt2;
+    p.on_write = [&] {
+      std::vector<std::uint8_t> bytes = read_bytes(p.checkpoint_path);
+      const std::optional<Snapshot> s = parse(bytes.data(), bytes.size());
+      ASSERT_TRUE(s.has_value());
+      if (s->stage == Stage::kEngine &&
+          s->report.count(obs::metric::kEngineAttempts) == 2)
+        last_of_attempt2 = std::move(bytes);
+    };
+    const CheckpointedResult leg1 = checked_combined_check(a, b, p);
+    ASSERT_EQ(leg1.combined.verdict, Verdict::kEquivalent);
+    ASSERT_FALSE(last_of_attempt2.empty());
+
+    install_snapshot(p, last_of_attempt2);
+    p.on_write = nullptr;
+    const CheckpointedResult leg2 = checked_combined_check(a, b, p);
+    ASSERT_TRUE(leg2.resumed);
+    EXPECT_EQ(leg2.combined.verdict, leg1.combined.verdict);
+    const obs::Snapshot& r1 = leg1.combined.report;
+    const obs::Snapshot& r2 = leg2.combined.report;
+    EXPECT_EQ(r2.count(obs::metric::kEngineAttempts),
+              r1.count(obs::metric::kEngineAttempts));
+    EXPECT_DOUBLE_EQ(r2.value(obs::metric::kEngineReductionPercent),
+                     r1.value(obs::metric::kEngineReductionPercent));
+    expect_time_identity(r2, "leg 2");
+    EXPECT_EQ(shape_of(r2), shape_of(r1));
+  }
+}
+
+TEST(CkptResume, EngineStageResumeKeepsTheCrashedLegsDegradeCounts) {
+  // The crashed leg recovered from injected allocation faults; the
+  // resumed leg (no faults) reports those ladder steps on top of its own.
+  CheckpointedParams p;
+  p.combined.engine.enable_po_phase = false;
+  p.combined.engine.k_P = 6;
+  p.combined.engine.k_p = 4;
+  p.combined.engine.k_g = 4;
+  p.combined.engine.k_l = 4;
+  p.combined.engine.memory_words = std::size_t{1} << 16;
+  p.checkpoint_path = temp_path("simsweep_ckpt_degrade.ckpt");
+  p.checkpoint_interval = 0;
+  const aig::Aig a = gen::array_multiplier(4);
+  const aig::Aig b = gen::wallace_multiplier(4);
+
+  std::vector<std::uint8_t> engine_bytes;
+  std::uint64_t crashed_steps = 0;
+  p.on_write = [&] {
+    std::vector<std::uint8_t> bytes = read_bytes(p.checkpoint_path);
+    const std::optional<Snapshot> s = parse(bytes.data(), bytes.size());
+    ASSERT_TRUE(s.has_value());
+    if (s->stage != Stage::kEngine) return;
+    crashed_steps = s->report.count(obs::metric::kDegradeLadderSteps);
+    engine_bytes = std::move(bytes);
+  };
+  {
+    fault::FaultPlan plan;
+    plan.on_hit(fault::sites::kExhaustiveSimtAlloc, 1, /*fires=*/3);
+    fault::ScopedFaultPlan armed(plan);
+    const CheckpointedResult leg1 = checked_combined_check(a, b, p);
+    ASSERT_EQ(leg1.combined.verdict, Verdict::kEquivalent);
+  }
+  ASSERT_FALSE(engine_bytes.empty());
+  ASSERT_GT(crashed_steps, 0u);
+
+  install_snapshot(p, engine_bytes);
+  p.on_write = nullptr;
+  const CheckpointedResult leg2 = checked_combined_check(a, b, p);
+  ASSERT_TRUE(leg2.resumed);
+  EXPECT_EQ(leg2.combined.verdict, Verdict::kEquivalent);
+  EXPECT_GE(leg2.combined.report.count(obs::metric::kDegradeLadderSteps),
+            crashed_steps);
 }
 
 TEST(CkptResume, WrongConfigurationSnapshotIsIgnored) {

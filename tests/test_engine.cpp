@@ -257,62 +257,6 @@ TEST(Engine, ReportCountsPhaseWork) {
   EXPECT_NE(s.find(obs::metric::kPoolJobs), nullptr);
 }
 
-TEST(Engine, AccumulateAttemptStatsMergesEveryField) {
-  // Regression: the combined checker's rewriting-interleaved loop used to
-  // carry only total_seconds and initial_ands across attempts, losing the
-  // first attempt's phase times and pair counters.
-  EngineStats prev;
-  prev.po_seconds = 1.0;
-  prev.global_seconds = 2.0;
-  prev.local_seconds = 3.0;
-  prev.other_seconds = 0.5;
-  prev.total_seconds = 6.5;
-  prev.initial_ands = 1000;
-  prev.final_ands = 400;
-  prev.pos_total = 16;
-  prev.pos_proved = 10;
-  prev.pairs_proved_global = 20;
-  prev.pairs_proved_local = 30;
-  prev.pairs_disproved = 5;
-  prev.cex_count = 7;
-  prev.local_phases = 2;
-
-  EngineStats next;
-  next.po_seconds = 0.1;
-  next.global_seconds = 0.2;
-  next.local_seconds = 0.3;
-  next.other_seconds = 0.05;
-  next.total_seconds = 0.65;
-  next.initial_ands = 400;  // second attempt starts from the residue
-  next.final_ands = 100;
-  next.pos_total = 16;
-  next.pos_proved = 1;
-  next.pairs_proved_global = 2;
-  next.pairs_proved_local = 3;
-  next.pairs_disproved = 1;
-  next.cex_count = 2;
-  next.local_phases = 1;
-
-  accumulate_attempt_stats(next, prev);
-  EXPECT_DOUBLE_EQ(next.po_seconds, 1.1);
-  EXPECT_DOUBLE_EQ(next.global_seconds, 2.2);
-  EXPECT_DOUBLE_EQ(next.local_seconds, 3.3);
-  EXPECT_DOUBLE_EQ(next.other_seconds, 0.55);
-  EXPECT_DOUBLE_EQ(next.total_seconds, 7.15);
-  // The chain is measured against the FIRST attempt's miter...
-  EXPECT_EQ(next.initial_ands, 1000u);
-  EXPECT_EQ(next.pos_total, 16u);
-  // ...and ends at the LAST attempt's residue.
-  EXPECT_EQ(next.final_ands, 100u);
-  EXPECT_EQ(next.pos_proved, 11u);
-  EXPECT_EQ(next.pairs_proved_global, 22u);
-  EXPECT_EQ(next.pairs_proved_local, 33u);
-  EXPECT_EQ(next.pairs_disproved, 6u);
-  EXPECT_EQ(next.cex_count, 9u);
-  EXPECT_EQ(next.local_phases, 3u);
-  EXPECT_DOUBLE_EQ(next.reduction_percent(), 90.0);
-}
-
 TEST(Engine, WindowMergingDoesNotChangeVerdicts) {
   const Aig a = testutil::random_aig(9, 140, 5, 223);
   const Aig b = opt::resyn_light(a);

@@ -6,14 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
+#include <string>
 
 #include "aig/aig_analysis.hpp"
 #include "aig/aig_io.hpp"
 #include "aig/miter.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "common/random.hpp"
+#include "fault/fault.hpp"
 #include "gen/arith.hpp"
+#include "obs/metric_names.hpp"
+#include "obs/registry.hpp"
 #include "opt/balance.hpp"
 #include "opt/exact3.hpp"
 #include "opt/refactor.hpp"
@@ -135,6 +140,14 @@ TEST_P(CkptFuzz, BitFlipAndTruncationMutationsNeverInvokeUb) {
   snap.removed.push_back(last - 1);
   snap.next_round = 2;
   snap.sweep_pairs_proved = 1;
+  // A report with a counter, a gauge and a family-composed leaf.
+  obs::Registry reg;
+  reg.add(obs::metric::kEngineAttempts, 1);
+  reg.set(obs::metric::kEngineInitialAnds, 40);
+  reg.add(std::string(obs::metric::kFaultsSitePrefix) +
+              fault::sites::kExhaustiveSimtAlloc,
+          2);
+  snap.report = reg.snapshot();
   const std::vector<std::uint8_t> good = ckpt::serialize(snap);
   ASSERT_TRUE(ckpt::parse(good.data(), good.size()).has_value());
 
@@ -159,6 +172,13 @@ TEST_P(CkptFuzz, BitFlipAndTruncationMutationsNeverInvokeUb) {
       }
       for (const auto& [node, lit] : parsed->merges)
         ASSERT_LT(aig::lit_var(lit), node);
+      const std::vector<obs::Metric>& ms = parsed->report.metrics;
+      for (std::size_t i = 0; i < ms.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(ms[i].value));
+        if (i > 0) {
+          ASSERT_LT(ms[i - 1].name, ms[i].name);
+        }
+      }
     }
   }
 }

@@ -67,6 +67,28 @@ TEST(ObsRegistry, SnapshotSortedAndQueryable) {
   EXPECT_TRUE(Snapshot{}.empty());
 }
 
+TEST(ObsRegistry, AbsorbAddsEveryMetricToItsCell) {
+  Registry from;
+  from.add("b.count", 7);
+  from.set("a.value", 2.5);
+  Registry into;
+  into.add("b.count", 3);
+  into.set("a.value", 0.5);
+  into.absorb(from.snapshot());
+  into.absorb(Snapshot{});  // an empty snapshot changes nothing
+  Snapshot s = into.snapshot();
+  EXPECT_EQ(s.count("b.count"), 10u);
+  EXPECT_DOUBLE_EQ(s.value("a.value"), 3.0);
+  // Missing cells are created with the absorbed metric's kind.
+  Registry fresh;
+  fresh.absorb(from.snapshot());
+  s = fresh.snapshot();
+  ASSERT_EQ(s.metrics.size(), 2u);
+  EXPECT_EQ(s.find("a.value")->kind, MetricKind::kGauge);
+  EXPECT_EQ(s.find("b.count")->kind, MetricKind::kCounter);
+  EXPECT_EQ(s.count("b.count"), 7u);
+}
+
 TEST(ObsRegistry, ConcurrentPublishersAgree) {
   // The publish-path contract: cell creation locks, increments are
   // lock-free relaxed atomics. Hammer one shared counter, per-thread

@@ -43,6 +43,16 @@ Aig suite_miter(const char* family, unsigned doublings) {
   return aig::make_miter(c.original, c.optimized);
 }
 
+/// The report of a crashed run whose engine had not reduced `miter` yet.
+obs::Snapshot untouched_report(const Aig& miter) {
+  obs::Registry reg;
+  const double ands = static_cast<double>(miter.num_ands());
+  reg.set(obs::metric::kEngineInitialAnds, ands);
+  reg.set(obs::metric::kEngineFinalAnds, ands);
+  reg.set(obs::metric::kEnginePosTotal, static_cast<double>(miter.num_pos()));
+  return reg.snapshot();
+}
+
 /// Wall seconds of `fn()`, result destruction included.
 template <typename Fn>
 double seconds_of(Fn&& fn) {
@@ -108,9 +118,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CombinedOracle,
                          ::testing::Values(310, 311, 312, 313, 314, 315));
 
 TEST(Combined, InterleavedRewritingMergesAttemptStats) {
-  // Regression: with interleave_rewriting, CombinedResult::engine_stats
-  // must cover ALL engine attempts. The bug merged only total_seconds and
-  // initial_ands, dropping the first attempt's proved-pair counters.
+  // Regression: with interleave_rewriting, the flow report's engine.*
+  // totals must cover ALL engine attempts. The bug merged only
+  // total_seconds and initial_ands, dropping the first attempt's
+  // proved-pair counters.
   const Aig a = testutil::random_aig(12, 260, 6, 340);
   const Aig b = opt::resyn_light(a);
   if (aig::miter_proved(aig::make_miter(a, b)))
@@ -139,27 +150,31 @@ TEST(Combined, InterleavedRewritingMergesAttemptStats) {
   p.max_rewrite_rounds = 1;
   const CombinedResult r = combined_check(a, b, p);
   EXPECT_EQ(r.verdict, Verdict::kEquivalent);
-  // Merged stats: at least the first attempt's work is in there, the
+  EXPECT_EQ(r.report.count(obs::metric::kEngineAttempts), 2u);
+  // Chain totals: at least the first attempt's work is in there, the
   // chain is measured against the original miter, and the phase-time
   // partition covers both attempts.
-  EXPECT_GE(r.engine_stats.pairs_proved_global +
-                r.engine_stats.pairs_proved_local +
-                r.engine_stats.pos_proved,
-            first_proved);
-  EXPECT_EQ(r.engine_stats.initial_ands, first.stats.initial_ands);
-  EXPECT_GE(r.engine_stats.local_phases, first.stats.local_phases);
+  const auto v = [&](const char* name) { return r.report.value(name); };
+  EXPECT_GE(v(obs::metric::kEnginePairsProvedGlobal) +
+                v(obs::metric::kEnginePairsProvedLocal) +
+                v(obs::metric::kEnginePosProved),
+            static_cast<double>(first_proved));
+  EXPECT_DOUBLE_EQ(v(obs::metric::kEngineInitialAnds),
+                   static_cast<double>(first.stats.initial_ands));
+  EXPECT_GE(v(obs::metric::kEngineLocalPhases),
+            static_cast<double>(first.stats.local_phases));
   // Time totals are noisy across runs; only their structure is checked:
-  // the merged total must itself partition into phases + other.
-  EXPECT_GT(r.engine_stats.total_seconds, 0.0);
-  EXPECT_NEAR(r.engine_stats.po_seconds + r.engine_stats.global_seconds +
-                  r.engine_stats.local_seconds +
-                  r.engine_stats.other_seconds,
-              r.engine_stats.total_seconds, 1e-6);
-  // The report snapshot exists and carries the merged engine gauges.
-  EXPECT_DOUBLE_EQ(r.report.value(obs::metric::kEngineTotalSeconds),
-                   r.engine_stats.total_seconds);
-  EXPECT_DOUBLE_EQ(r.report.value(obs::metric::kEnginePairsProvedLocal),
-                   static_cast<double>(r.engine_stats.pairs_proved_local));
+  // the chain total must itself partition into phases + other.
+  EXPECT_GT(v(obs::metric::kEngineTotalSeconds), 0.0);
+  EXPECT_NEAR(v(obs::metric::kEnginePoSeconds) +
+                  v(obs::metric::kEngineGlobalSeconds) +
+                  v(obs::metric::kEngineLocalSeconds) +
+                  v(obs::metric::kEngineOtherSeconds),
+              v(obs::metric::kEngineTotalSeconds), 1e-6);
+  // The result's Table II columns are read from the same totals.
+  EXPECT_DOUBLE_EQ(r.engine_seconds, v(obs::metric::kEngineTotalSeconds));
+  EXPECT_DOUBLE_EQ(r.reduction_percent,
+                   v(obs::metric::kEngineReductionPercent));
 }
 
 TEST(Combined, SweeperGetsRemainingBudgetNotFullBudget) {
@@ -265,9 +280,7 @@ TEST(Combined, ResumedRunChargesElapsedAgainstDeadline) {
   snap.elapsed_seconds = 24.0;
   snap.boundary = "G";
   snap.miter = miter;
-  snap.engine_stats.initial_ands = miter.num_ands();
-  snap.engine_stats.final_ands = miter.num_ands();
-  snap.engine_stats.pos_total = miter.num_pos();
+  snap.report = untouched_report(miter);
   const std::vector<std::uint8_t> bytes = ckpt::serialize(snap);
   {
     std::ofstream out(cp.checkpoint_path, std::ios::binary);
@@ -303,9 +316,7 @@ ckpt::CheckpointedResult resume_overspent(ckpt::Stage stage,
   snap.elapsed_seconds = 31.0;
   snap.boundary = stage == ckpt::Stage::kEngine ? "G" : "round";
   snap.miter = miter;
-  snap.engine_stats.initial_ands = miter.num_ands();
-  snap.engine_stats.final_ands = miter.num_ands();
-  snap.engine_stats.pos_total = miter.num_pos();
+  snap.report = untouched_report(miter);
   const std::vector<std::uint8_t> bytes = ckpt::serialize(snap);
   {
     std::ofstream out(cp.checkpoint_path, std::ios::binary);
@@ -324,9 +335,10 @@ TEST(Combined, OverspentEngineSnapshotRunsNothing) {
       resume_overspent(ckpt::Stage::kEngine, "simsweep_overspent_engine.ckpt");
   ASSERT_TRUE(r.resumed);
   EXPECT_EQ(r.combined.verdict, Verdict::kUndecided);
-  EXPECT_EQ(r.combined.engine_stats.pos_proved, 0u);
-  EXPECT_EQ(r.combined.engine_stats.local_phases, 0u);
-  EXPECT_DOUBLE_EQ(r.combined.engine_stats.po_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(r.combined.report.value(obs::metric::kEnginePosProved), 0.0);
+  EXPECT_DOUBLE_EQ(r.combined.report.value(obs::metric::kEngineLocalPhases),
+                   0.0);
+  EXPECT_DOUBLE_EQ(r.combined.report.value(obs::metric::kEnginePoSeconds), 0.0);
   EXPECT_FALSE(r.combined.used_sat);
   EXPECT_EQ(r.combined.sweeper_stats.sat_calls, 0u);
 }
