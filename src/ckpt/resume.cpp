@@ -183,7 +183,9 @@ CheckpointedResult checked_combined_check_miter(
   }
   out.combined =
       portfolio::detail::run_sat_fallback(std::move(chain), combined, resume);
-  out.combined.total_seconds = t.seconds();
+  // One clock with the report's engine.* totals, which include the
+  // crashed legs: the snapshot's elapsed time plus this process's.
+  out.combined.total_seconds = base_elapsed + t.seconds();
 
   // An undecided exit may still hold a throttle-skipped boundary — make
   // it durable so the next attempt resumes from the freshest state.

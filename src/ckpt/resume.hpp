@@ -19,7 +19,9 @@
 ///     their residue and journal;
 ///   - budget restoration: the snapshot's elapsed wall-clock is charged
 ///     against engine.time_limit, so a restarted run finishes inside the
-///     original combined budget instead of restarting the clock;
+///     original combined budget instead of restarting the clock, and
+///     into total_seconds, so it is on the clock of the report's engine
+///     totals;
 ///   - the ckpt.* metrics (writes/bytes/load_rejects/resumes/
 ///     pairs_restored) in the run report.
 ///

@@ -99,14 +99,6 @@ EngineResult SimCecEngine::check_miter(aig::Aig miter) const {
         r.add(obs::metric::kFaultsSitePrefix + site, fires - before);
     }
     exhaustive::publish_degrade(r, ctx.ladder.state());
-    // Incremental carry-over section (DESIGN.md §2.7). Published even when
-    // all-zero so every report carries the partial_sim.carryover family.
-    const sim::CarryStats& cs = ctx.inc.stats();
-    r.add(obs::metric::kPartialSimIncrementalWords, cs.incremental_words);
-    r.add(obs::metric::kPartialSimFullResims, cs.full_resims);
-    r.add(obs::metric::kPartialSimCarryClasses, cs.carry_classes);
-    r.add(obs::metric::kPartialSimCarryDropped, cs.carry_dropped);
-    r.add(obs::metric::kPartialSimCarryFallbacks, cs.carry_fallbacks);
     // Checkpoint/supervisor sections (DESIGN.md §2.8). Zero-added like
     // the faults/degrade sections above so every v3 report carries both
     // families; the ckpt layer and the cec_tool supervisor add the real

@@ -34,7 +34,7 @@
 #include "exhaustive/ladder.hpp"
 #include "fault/governor.hpp"
 #include "obs/registry.hpp"
-#include "sim/incremental.hpp"
+#include "sim/ec_manager.hpp"
 #include "sim/partial_sim.hpp"
 
 namespace simsweep::engine {
@@ -264,15 +264,15 @@ struct EngineContext {
   /// Memory governor for this run: the caller's EngineParams::memory_ledger,
   /// an engine-private one (memory_budget_bytes > 0), or null (ungoverned).
   fault::MemoryLedger* ledger = nullptr;
-  /// Incremental simulation + EC carry-over state (DESIGN.md §2.7): one
-  /// Signatures matrix and one EcManager kept alive across phases,
-  /// delta-simulated on CEX absorption and translated through rebuild
-  /// lit_maps. check_miter() enables it from EngineParams.
-  sim::IncrementalState inc;
   /// Cached level schedule of the current miter, shared by partial
   /// simulation, window building and cut passes. Lazily built by
   /// level_schedule() (phase_common.hpp); reset at every rebuild.
   std::optional<aig::LevelSchedule> schedule;
+  /// Equivalence classes of the current miter (DESIGN.md §2.7), built by
+  /// partial simulation of the bank on first use and refined in place by
+  /// the G phase's CEX rounds. Lazily built by equivalence_classes()
+  /// (phase_common.hpp); reset at every rebuild, like the schedule.
+  std::optional<sim::EcManager> classes;
 };
 
 /// Returns false if the miter was disproved (stop immediately).

@@ -11,7 +11,7 @@
 #include "engine/engine.hpp"
 #include "obs/metric_names.hpp"
 #include "sim/ec_manager.hpp"
-#include "sim/incremental.hpp"
+#include "sim/partial_sim.hpp"
 #include "sim/quality_patterns.hpp"
 #include "window/window_merge.hpp"
 
@@ -101,43 +101,9 @@ inline void ensure_bank(EngineContext& ctx) {
   }
 }
 
-/// Publishes the full re-simulations one IncrementalState::sync() decided
-/// to perform (`before` = ctx.inc.stats() snapshot taken just before the
-/// sync). Delta-simulated columns are reported per run under
-/// partial_sim.incremental_words by check_miter's finish().
-inline void note_sync(EngineContext& ctx, const sim::CarryStats& before) {
-  const sim::CarryStats& now = ctx.inc.stats();
-  const std::uint64_t resims = now.full_resims - before.full_resims;
-  if (resims > 0 && ctx.bank) {
-    ctx.obs->add(obs::metric::kPartialSimSimulateCalls, resims);
-    ctx.obs->add(obs::metric::kPartialSimPatternWords,
-                 resims * ctx.bank->num_words());
-  }
-}
-
-/// The engine's single rebuild site: applies a substitution map to the
-/// miter, carries the incremental simulation state through the rebuild's
-/// lit_map (DESIGN.md §2.7), drops the cached level schedule and records
-/// the reduction under `miter.*`. A failed carry-over (injected
-/// sim.carryover fault, stale state) degrades to a full re-simulation at
-/// the next sync — a ladder step the next sync recovers from.
-inline void apply_reduction(EngineContext& ctx,
-                            const aig::SubstitutionMap& subst) {
-  const std::size_t before_ands = ctx.miter.num_ands();
-  const std::uint64_t fallbacks_before = ctx.inc.stats().carry_fallbacks;
-  aig::RebuildResult rr = aig::rebuild(ctx.miter, subst);
-  ctx.inc.apply_rebuild(rr.aig, rr.lit_map);
-  if (ctx.inc.stats().carry_fallbacks > fallbacks_before)
-    ctx.ladder.note_carry_fallback();
-  ctx.miter = std::move(rr.aig);
-  ctx.schedule.reset();
-  note_rebuild(ctx, before_ands, ctx.miter.num_ands());
-}
-
 /// Publishes the deltas an EcManager accumulated since `since` under
-/// `ec.*` (each phase owns its manager, so publishing its lifetime stats
-/// once at phase end never double counts; `since` supports the G phase's
-/// per-iteration incremental publishing).
+/// `ec.*` (equivalence_classes() publishes a fresh manager's build; a
+/// phase publishes what it added to the cached manager since entry).
 inline void publish_ec_stats(EngineContext& ctx, const sim::EcStats& now,
                              const sim::EcStats& since = {}) {
   obs::Registry& r = *ctx.obs;
@@ -147,6 +113,39 @@ inline void publish_ec_stats(EngineContext& ctx, const sim::EcStats& now,
   r.add(obs::metric::kEcClassSplits, now.class_splits - since.class_splits);
   r.add(obs::metric::kEcClassesDissolved,
         now.classes_dissolved - since.classes_dissolved);
+}
+
+/// The current miter's equivalence classes (DESIGN.md §2.7): built on
+/// first use after each rebuild by partial simulation of the whole bank
+/// (ensure_bank), then kept until the next rebuild, so a phase that
+/// follows a phase without reduction reuses them. Publishes the
+/// simulation under `partial_sim.*` and the build under `ec.*`. Host
+/// thread only; the reference is valid until the next rebuild
+/// (apply_reduction resets the cache).
+inline sim::EcManager& equivalence_classes(EngineContext& ctx) {
+  if (ctx.classes) return *ctx.classes;
+  ensure_bank(ctx);
+  const sim::Signatures sigs =
+      sim::simulate(ctx.miter, *ctx.bank, level_schedule(ctx));
+  ctx.obs->add(obs::metric::kPartialSimSimulateCalls);
+  ctx.obs->add(obs::metric::kPartialSimPatternWords, ctx.bank->num_words());
+  sim::EcManager& ec = ctx.classes.emplace();
+  ec.build(ctx.miter, sigs);
+  publish_ec_stats(ctx, ec.stats());
+  return ec;
+}
+
+/// The engine's single rebuild site: applies a substitution map to the
+/// miter, drops the caches built on the old miter (level schedule and
+/// equivalence classes, DESIGN.md §2.7) and records the reduction under
+/// `miter.*`.
+inline void apply_reduction(EngineContext& ctx,
+                            const aig::SubstitutionMap& subst) {
+  const std::size_t before_ands = ctx.miter.num_ands();
+  ctx.miter = aig::rebuild(ctx.miter, subst).aig;
+  ctx.schedule.reset();
+  ctx.classes.reset();
+  note_rebuild(ctx, before_ands, ctx.miter.num_ands());
 }
 
 }  // namespace simsweep::engine::detail

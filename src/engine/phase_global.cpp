@@ -29,17 +29,11 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
 
   const aig::SupportInfo supports = aig::compute_supports(miter, k_g);
 
-  ensure_bank(ctx);
-  // Incremental entry (DESIGN.md §2.7): the engine-wide signature/class
-  // state is brought up to date with (miter, bank) — a cheap delta when
-  // state was carried from the previous phase, a full re-simulation on
-  // the first phase or after a carry-over fallback. EC stats are deltas
-  // against phase entry because the manager now lives across phases.
+  // The classes are the current miter's cache (built here on first use);
+  // EC stats publish as deltas against phase entry.
   const aig::LevelSchedule* sched = level_schedule(ctx);
-  const sim::CarryStats cs_entry = ctx.inc.stats();
-  const sim::EcStats ec_entry = ctx.inc.ec().stats();
-  sim::EcManager& ec = ctx.inc.sync(miter, *ctx.bank, sched);
-  note_sync(ctx, cs_entry);
+  sim::EcManager& ec = equivalence_classes(ctx);
+  const sim::EcStats ec_entry = ec.stats();
   SIMSWEEP_LOG_INFO("G phase: %zu initial equivalence classes",
                     ec.num_classes());
 
@@ -164,21 +158,20 @@ std::size_t run_global_phase(EngineContext& ctx, unsigned k_g) {
 
     if (collector.empty()) break;  // nothing left to refine
 
-    // Refinement round (DESIGN.md §2.7): the CEX columns are appended to
-    // the engine-wide bank (batched — a single amortized append) and the
-    // incremental state delta-simulates ONLY those new columns, refining
-    // the classes in the same step. Before the incremental layer this
-    // round simulated a scratch bank over the whole miter AND re-copied
-    // the full bank per column.
-    collector.flush_into(*ctx.bank);
+    // Refinement round (DESIGN.md §2.7): simulate only the CEX words and
+    // split the live classes with them (members already agree on every
+    // older word), then keep the words in the engine-wide bank.
+    sim::PatternBank cex_bank(miter.num_pis(), 0);
+    collector.flush_into(cex_bank);
+    ec.refine(sim::simulate(miter, cex_bank, sched));
+    ctx.obs->add(obs::metric::kPartialSimSimulateCalls);
+    ctx.obs->add(obs::metric::kPartialSimPatternWords, cex_bank.num_words());
+    ctx.bank->append_bank(cex_bank);
     const std::size_t dropped = ctx.bank->truncate_front(p.max_pattern_words);
     if (dropped > 0) {
       ctx.obs->add(obs::metric::kPartialSimBankTruncations);
       ctx.obs->add(obs::metric::kPartialSimWordsDropped, dropped);
     }
-    const sim::CarryStats cs_round = ctx.inc.stats();
-    ctx.inc.sync(miter, *ctx.bank, sched);
-    note_sync(ctx, cs_round);
   }
 
   const std::size_t merged = subst.num_merged();

@@ -68,17 +68,8 @@ bool run_local_phase(EngineContext& ctx) {
   const EngineParams& p = ctx.params;
   aig::Aig& miter = ctx.miter;
 
-  ensure_bank(ctx);
-  // Incremental entry (DESIGN.md §2.7): classes carried over from the
-  // previous phase's rebuild (or delta-refined) instead of a full
-  // re-simulation + fresh build; EC stats publish as deltas since the
-  // manager lives across phases.
   const aig::LevelSchedule* sched = level_schedule(ctx);
-  const sim::CarryStats cs_entry = ctx.inc.stats();
-  const sim::EcStats ec_entry = ctx.inc.ec().stats();
-  sim::EcManager& ec = ctx.inc.sync(miter, *ctx.bank, sched);
-  note_sync(ctx, cs_entry);
-  publish_ec_stats(ctx, ec.stats(), ec_entry);
+  const sim::EcManager& ec = equivalence_classes(ctx);
 
   std::vector<cut::PairTask> tasks;
   for (const sim::CandidatePair& pair : ec.candidate_pairs()) {

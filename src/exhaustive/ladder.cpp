@@ -94,11 +94,6 @@ void Ladder::note_merge_fallbacks(std::uint64_t count) {
   }
 }
 
-void Ladder::note_carry_fallback() {
-  ++state_.ladder_steps;
-  ++state_.faults_recovered;
-}
-
 bool Ladder::run_unit(const std::function<void()>& attempt,
                       const std::function<void()>& shrink) {
   for (unsigned retry = 0;; ++retry) {

@@ -60,10 +60,6 @@ class Ladder {
   /// with more fallbacks than max_fault_retries stops merging.
   void note_merge_fallbacks(std::uint64_t count);
 
-  /// The incremental simulation state lost its carry-over at a rebuild
-  /// and falls back to a full re-simulation at the next sync.
-  void note_carry_fallback();
-
   /// Unit-level rung (an L-phase cut pass): runs `attempt`; when it
   /// throws bad_alloc or fault::FaultError, halves M (if above the floor)
   /// and calls `shrink` before the next attempt, at most

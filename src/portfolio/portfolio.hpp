@@ -63,6 +63,8 @@ struct CombinedResult {
   /// combined flow, not per attempt). 0 when unbounded or when the
   /// sweeper was never entered.
   double sweeper_time_limit = 0;
+  /// Wall seconds of the flow; a resumed run (ckpt) adds the snapshot's
+  /// elapsed time, so it is on the clock of engine_seconds.
   double total_seconds = 0;
   double reduction_percent = 0;  ///< "Reduced (%)", read from the report
   bool used_sat = false;  ///< the SAT fallback was entered

@@ -49,7 +49,10 @@ class EcManager {
 
   /// Splits existing classes using additional signature words (CEX
   /// refinement). `sigs` must cover the same AIG the classes were built
-  /// on. Classes that become singletons are discarded.
+  /// on. Members of a class already agree on every word they were built
+  /// or refined with, so `sigs` need only hold the new words: the result
+  /// is the partition a build() over all the words would give. Classes
+  /// that become singletons are discarded.
   void refine(const Signatures& sigs);
 
   /// All current candidate pairs: for every class of N members, the N-1
@@ -66,20 +69,6 @@ class EcManager {
   /// this implicitly, but pairs disproved without a recorded CEX —
   /// multi-round mismatches — need the explicit form).
   void remove_node(aig::Var node);
-
-  /// Translates all classes through a rebuild's literal map (old var ->
-  /// new literal, RebuildResult::kLitInvalid for vars outside the cone), so
-  /// refinement state survives a miter reduction instead of restarting
-  /// from a fresh random build (DESIGN.md §2.7). Member phases compose
-  /// with the mapped literal's complement bit; invalid members and their
-  /// removed_ marks are dropped (counted into *dropped, which may be
-  /// null); classes shrinking below 2 members dissolve. Two old members
-  /// mapping to the same new var (strash merge during rebuild) must agree
-  /// on phase — a conflict means the caller's signatures and classes
-  /// disagree with the rebuild, and translate() returns false leaving the
-  /// manager UNCHANGED so the caller can fall back to a fresh build.
-  bool translate(const std::vector<aig::Lit>& lit_map,
-                 std::size_t new_num_nodes, std::uint64_t* dropped);
 
   std::size_t num_classes() const { return classes_.size(); }
   const std::vector<std::vector<aig::Var>>& classes() const {

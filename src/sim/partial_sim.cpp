@@ -1,6 +1,5 @@
 #include "sim/partial_sim.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "common/word_kernels.hpp"
@@ -47,6 +46,13 @@ void PatternBank::append_groups(const std::vector<std::vector<Word>>& groups) {
   }
 }
 
+void PatternBank::append_bank(const PatternBank& other) {
+  assert(other.num_pis_ == num_pis_);
+  reserve_columns(other.num_words_);
+  words_.insert(words_.end(), other.words_.begin(), other.words_.end());
+  num_words_ += other.num_words_;
+}
+
 std::size_t PatternBank::truncate_front(std::size_t max_words) {
   if (num_words_ <= max_words) return 0;
   const std::size_t drop = num_words_ - max_words;
@@ -54,7 +60,6 @@ std::size_t PatternBank::truncate_front(std::size_t max_words) {
                words_.begin() + static_cast<std::ptrdiff_t>(
                                     drop * static_cast<std::size_t>(num_pis_)));
   num_words_ = max_words;
-  start_index_ += drop;
   return drop;
 }
 
@@ -76,28 +81,20 @@ void CexCollector::flush_into(PatternBank& bank) {
   count_ = 0;
 }
 
-namespace {
-
-/// Simulates columns [from, W) of every node row, where W is the bank's
-/// current width and sig is already laid out at row stride W with PI rows
-/// filled for [0, from). Shared core of simulate() (from = 0) and
-/// extend_signatures() (from = old width): the delta path is bit-identical
-/// to full simulation by construction because both run exactly this code
-/// over their column range.
-void simulate_columns(const aig::Aig& aig, const PatternBank& bank,
-                      std::size_t from, Signatures& sig,
-                      const aig::LevelSchedule* schedule) {
+Signatures simulate(const aig::Aig& aig, const PatternBank& bank,
+                    const aig::LevelSchedule* schedule) {
+  assert(bank.num_pis() == aig.num_pis());
   const std::size_t W = bank.num_words();
-  assert(sig.num_words == W);
-  assert(from <= W);
-  const std::size_t D = W - from;
-  if (D == 0) return;
+  Signatures sig;
+  sig.num_words = W;
+  sig.words.assign(aig.num_nodes() * W, 0);
+  if (W == 0) return sig;
 
-  // PIs copy their bank rows (new columns only).
+  // PIs copy their bank rows.
   parallel::parallel_for_chunks(
       0, aig.num_pis(), [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
-          for (std::size_t w = from; w < W; ++w)
+          for (std::size_t w = 0; w < W; ++w)
             sig.words[(i + 1) * W + w] =
                 bank.word(static_cast<unsigned>(i), w);
       });
@@ -127,53 +124,15 @@ void simulate_columns(const aig::Aig& aig, const PatternBank& bank,
         const aig::Lit f0 = aig.fanin0(v);
         const aig::Lit f1 = aig.fanin1(v);
         kernels::and2_words(
-            words + static_cast<std::size_t>(v) * W + from,
-            words + static_cast<std::size_t>(aig::lit_var(f0)) * W + from,
+            words + static_cast<std::size_t>(v) * W,
+            words + static_cast<std::size_t>(aig::lit_var(f0)) * W,
             aig::lit_compl(f0) ? ~Word{0} : 0,
-            words + static_cast<std::size_t>(aig::lit_var(f1)) * W + from,
-            aig::lit_compl(f1) ? ~Word{0} : 0, D);
+            words + static_cast<std::size_t>(aig::lit_var(f1)) * W,
+            aig::lit_compl(f1) ? ~Word{0} : 0, W);
       }
     });
   }
-}
-
-}  // namespace
-
-Signatures simulate(const aig::Aig& aig, const PatternBank& bank,
-                    const aig::LevelSchedule* schedule) {
-  assert(bank.num_pis() == aig.num_pis());
-  const std::size_t W = bank.num_words();
-  Signatures sig;
-  sig.num_words = W;
-  sig.words.assign(aig.num_nodes() * W, 0);
-  simulate_columns(aig, bank, 0, sig, schedule);
   return sig;
-}
-
-void extend_signatures(const aig::Aig& aig, const PatternBank& bank,
-                       std::size_t from_word, Signatures& sig,
-                       const aig::LevelSchedule* schedule) {
-  assert(bank.num_pis() == aig.num_pis());
-  assert(sig.num_words == from_word);
-  assert(sig.words.size() ==
-         static_cast<std::size_t>(aig.num_nodes()) * from_word);
-  const std::size_t W = bank.num_words();
-  assert(from_word <= W);
-  if (W == from_word) return;
-
-  // Re-lay rows out at the new stride, back to front so each row's source
-  // range is read before it can be overwritten (dst row v starts at v*W >=
-  // v*from_word = src start, so copying descending rows is safe in place).
-  sig.words.resize(static_cast<std::size_t>(aig.num_nodes()) * W, 0);
-  Word* const data = sig.words.data();
-  for (std::size_t v = aig.num_nodes(); v-- > 0;) {
-    Word* const dst = data + v * W;
-    const Word* const src = data + v * from_word;
-    std::copy_backward(src, src + from_word, dst + from_word);
-    std::fill(dst + from_word, dst + W, Word{0});
-  }
-  sig.num_words = W;
-  simulate_columns(aig, bank, from_word, sig, schedule);
 }
 
 }  // namespace simsweep::sim

@@ -29,12 +29,6 @@ using Word = std::uint64_t;
 /// (CexCollector::flush_into appends a column per CEX group; the old
 /// PI-major layout made that O(pis × words) per column, quadratic as
 /// CEXs accumulate).
-///
-/// The bank behaves as a sliding window over an append-only pattern
-/// stream: columns are appended at the back and dropped from the front
-/// only. start_index() is the stream index of the current first column;
-/// incremental consumers (sim::IncrementalState) use it to know which of
-/// their cached columns survived a truncation.
 class PatternBank {
  public:
   PatternBank(unsigned num_pis, std::size_t num_words)
@@ -48,10 +42,6 @@ class PatternBank {
   unsigned num_pis() const { return num_pis_; }
   std::size_t num_words() const { return num_words_; }
   std::size_t num_patterns() const { return num_words_ * 64; }
-
-  /// Stream index of column 0: the total number of words ever dropped by
-  /// truncate_front(). Monotonic over the bank's lifetime.
-  std::uint64_t start_index() const { return start_index_; }
 
   Word word(unsigned pi, std::size_t w) const {
     return words_[w * num_pis_ + pi];
@@ -68,6 +58,10 @@ class PatternBank {
   /// reservation. Each group must hold num_pis() words.
   void append_groups(const std::vector<std::vector<Word>>& groups);
 
+  /// Appends every word of `other` (same num_pis()) after this bank's
+  /// words, with a single capacity reservation.
+  void append_bank(const PatternBank& other);
+
   /// Drops the oldest words until at most max_words remain (bounds the
   /// resimulation cost as CEXs accumulate). Returns the number of words
   /// dropped per PI (0 when the bank already fits).
@@ -83,7 +77,6 @@ class PatternBank {
 
   unsigned num_pis_;
   std::size_t num_words_;
-  std::uint64_t start_index_ = 0;
   std::uint64_t reallocations_ = 0;
   std::vector<Word> words_;  // word-major: words_[w * num_pis_ + pi]
 };
@@ -130,15 +123,5 @@ struct Signatures {
 /// recomputing the level order (DESIGN.md §2.7).
 Signatures simulate(const aig::Aig& aig, const PatternBank& bank,
                     const aig::LevelSchedule* schedule = nullptr);
-
-/// Delta simulation: `sig` must be a simulate() result for this AIG over
-/// the bank's first `from_word` columns (sig.num_words == from_word).
-/// Re-lays the rows out to the bank's current width and simulates ONLY
-/// the appended columns [from_word, bank.num_words()), so the result is
-/// bit-identical to a full simulate(aig, bank) at a fraction of the cost
-/// (the word kernels operate on arbitrary word ranges).
-void extend_signatures(const aig::Aig& aig, const PatternBank& bank,
-                       std::size_t from_word, Signatures& sig,
-                       const aig::LevelSchedule* schedule = nullptr);
 
 }  // namespace simsweep::sim

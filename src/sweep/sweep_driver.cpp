@@ -9,16 +9,6 @@
 namespace simsweep::sweep::detail {
 namespace {
 
-/// Appends every pattern word of `extra` to `bank`.
-void append_bank(sim::PatternBank& bank, const sim::PatternBank& extra) {
-  std::vector<sim::Word> column(bank.num_pis());
-  for (std::size_t w = 0; w < extra.num_words(); ++w) {
-    for (unsigned pi = 0; pi < bank.num_pis(); ++pi)
-      column[pi] = extra.word(pi, w);
-    bank.append_words(column);
-  }
-}
-
 /// EC-initialization bank: params.sim_words random words extended with
 /// the transferred initial_bank (§V EC transfer) and truncated to
 /// max_pattern_words.
@@ -28,7 +18,7 @@ sim::PatternBank make_init_bank(unsigned num_pis,
       sim::PatternBank::random(num_pis, params.sim_words, params.seed);
   if (params.initial_bank != nullptr &&
       params.initial_bank->num_pis() == num_pis) {
-    append_bank(bank, *params.initial_bank);
+    bank.append_bank(*params.initial_bank);
     bank.truncate_front(params.max_pattern_words);
   }
   return bank;
@@ -230,7 +220,7 @@ SweepResult run_sweep(const aig::Aig& miter, const SweeperParams& params,
       // Fold the round's CEX columns into the accumulated bank first so a
       // snapshot's bank re-derives exactly these refined classes. Hook
       // exceptions are swallowed: checkpointing never changes a verdict.
-      append_bank(bank, cex_bank);
+      bank.append_bank(cex_bank);
       stats.seconds = clock.seconds();
       const SweepCheckpointView view{&miter, round + 1, &merges,
                                      &removed, &bank,    &stats};

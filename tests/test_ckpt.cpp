@@ -424,6 +424,12 @@ void expect_time_identity(const obs::Snapshot& r, const std::string& where) {
       << where;
 }
 
+/// A resumed run reports on one clock: its engine time (the crashed
+/// legs' included) never exceeds its total time.
+void expect_one_clock(const CheckpointedResult& r) {
+  EXPECT_LE(r.combined.engine_seconds, r.combined.total_seconds);
+}
+
 /// The sorted (name, kind) list of a report.
 std::vector<std::pair<std::string, obs::MetricKind>> shape_of(
     const obs::Snapshot& r) {
@@ -494,6 +500,7 @@ TEST(CkptResume, KilledRunResumesToIdenticalVerdict) {
   // The resumed chain's time identity holds as on a plain run: the
   // snapshot's report was taken "as of" its boundary.
   expect_time_identity(leg2.combined.report, "leg 2");
+  expect_one_clock(leg2);
 }
 
 TEST(CkptResume, SweepStageResumeReportsTheEngineChainTotals) {
@@ -552,6 +559,7 @@ TEST(CkptResume, SweepStageResumeReportsTheEngineChainTotals) {
     const CheckpointedResult leg2 = checked_combined_check(a, b, p);
     ASSERT_TRUE(leg2.resumed);
     EXPECT_EQ(leg2.combined.verdict, leg1.combined.verdict);
+    expect_one_clock(leg2);
     const obs::Snapshot& r2 = leg2.combined.report;
     for (const char* leaf :
          {obs::metric::kEngineInitialAnds, obs::metric::kEngineFinalAnds,
@@ -604,6 +612,7 @@ TEST(CkptResume, EngineStageResumeContinuesTheRewriteChain) {
     EXPECT_DOUBLE_EQ(r2.value(obs::metric::kEngineReductionPercent),
                      r1.value(obs::metric::kEngineReductionPercent));
     expect_time_identity(r2, "leg 2");
+    expect_one_clock(leg2);
     EXPECT_EQ(shape_of(r2), shape_of(r1));
   }
 }
@@ -650,6 +659,7 @@ TEST(CkptResume, EngineStageResumeKeepsTheCrashedLegsDegradeCounts) {
   EXPECT_EQ(leg2.combined.verdict, Verdict::kEquivalent);
   EXPECT_GE(leg2.combined.report.count(obs::metric::kDegradeLadderSteps),
             crashed_steps);
+  expect_one_clock(leg2);
 }
 
 TEST(CkptResume, WrongConfigurationSnapshotIsIgnored) {

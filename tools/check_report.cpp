@@ -122,9 +122,7 @@ int main(int argc, char** argv) {
   // the engine publishes unconditionally (zero-valued when healthy).
   for (const char* leaf : {"\"faults\"", "\"injected\"", "\"degrade\"",
                            "\"ladder_steps\"", "\"units_abandoned\"",
-                           "\"carryover\"", "\"full_resims\"",
-                           "\"incremental_words\"", "\"ckpt\"",
-                           "\"writes\"", "\"supervisor\"",
+                           "\"ckpt\"", "\"writes\"", "\"supervisor\"",
                            "\"restarts\""}) {
     if (json.find(leaf) == std::string::npos) {
       std::fprintf(stderr, "check_report: report lacks expected key %s\n",
